@@ -37,18 +37,13 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::ShutdownError;
 
+use super::park::PARK_BACKSTOP;
 use super::Job;
-
-/// Same defensive re-check bound as the executor worker loops: every blocking
-/// wait below sits in a re-check loop, so a capped wait changes no semantics
-/// and keeps a lost wakeup from wedging a waiter forever.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
 
 /// How a submitted job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -461,6 +456,10 @@ impl<R: Send + 'static> Future for TypedFuture<R> {
 struct WaiterState {
     decision: Option<Result<(), ShutdownError>>,
     waker: Option<Waker>,
+    /// Whether a thread is blocked in [`SubmitWaiter::wait`]. The decision
+    /// only needs a condvar notify (a system call) when one is; async
+    /// pollers and submissions admitted on the spot never are.
+    blocked: bool,
 }
 
 /// A single-submission admission waiter for bounded queues.
@@ -490,21 +489,26 @@ impl SubmitWaiter {
             state: Mutex::new(WaiterState {
                 decision: None,
                 waker: None,
+                blocked: false,
             }),
             cv: Condvar::new(),
         })
     }
 
     fn decide(&self, decision: Result<(), ShutdownError>) {
-        let waker = {
+        let (waker, blocked) = {
             let mut st = self.state.lock();
             if st.decision.is_some() {
                 return;
             }
             st.decision = Some(decision);
-            st.waker.take()
+            (st.waker.take(), st.blocked)
         };
-        self.cv.notify_one();
+        // `blocked` is set under the same mutex before the waiter's first
+        // look at `decision`, so a waiter this misses has already seen it.
+        if blocked {
+            self.cv.notify_all();
+        }
         if let Some(w) = waker {
             w.wake();
         }
@@ -533,6 +537,7 @@ impl SubmitWaiter {
             if let Some(decision) = st.decision {
                 return decision;
             }
+            st.blocked = true;
             self.cv.wait_for(&mut st, PARK_BACKSTOP);
         }
     }
@@ -627,6 +632,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn finished_job_resolves_done() {

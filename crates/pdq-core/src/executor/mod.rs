@@ -37,6 +37,7 @@
 
 pub mod completion;
 mod multiqueue;
+mod park;
 mod pdq;
 mod sharded;
 mod spinlock;
@@ -384,6 +385,31 @@ pub trait Executor: Send + Sync + std::fmt::Debug {
         admitted
     }
 
+    /// The batch form of [`submit_queued`](Self::submit_queued): takes every
+    /// entry of `batch` without blocking. Entries that fit are admitted at
+    /// once; the rest are parked, in batch order, at the back of the FIFO
+    /// overflow list(s). Returns the waiters that must all be decided before
+    /// the whole batch counts as admitted (none if everything fit). After
+    /// [`shutdown`](Self::shutdown) the entries are dropped and their waiters
+    /// come back aborted.
+    ///
+    /// The default runs one [`try_submit_batch`](Self::try_submit_batch) pass
+    /// and parks the remainder entry by entry. The PDQ executors admit and
+    /// park under one lock acquisition per queue, with one waiter per queue
+    /// on the last entry parked there.
+    fn submit_batch_queued(&self, batch: &mut SubmitBatch) -> Vec<Arc<SubmitWaiter>> {
+        self.try_submit_batch(batch);
+        batch
+            .entries
+            .drain(..)
+            .map(|(key, job)| {
+                let waiter = SubmitWaiter::new();
+                self.submit_queued(key, job, Arc::clone(&waiter));
+                waiter
+            })
+            .collect()
+    }
+
     /// Blocks until every job submitted so far has finished executing.
     fn flush(&self);
 
@@ -533,30 +559,28 @@ pub trait ExecutorExt: Executor {
     }
 
     /// Submits every job in `batch`, blocking while a bounded queue is at
-    /// capacity, and returns how many jobs were admitted (the batch is empty
-    /// on `Ok`).
+    /// capacity, and returns how many jobs were admitted.
     ///
-    /// The fast path admits whole slices via
-    /// [`try_submit_batch`](Executor::try_submit_batch); only when the batch
-    /// stalls does one blocking [`submit`](Executor::submit) drain the
-    /// holding entry before another batch pass.
+    /// The whole batch passes to the executor up front
+    /// ([`Executor::submit_batch_queued`]): what does not fit is parked
+    /// behind the capacity bound in batch order — later submissions cannot
+    /// overtake it — and the caller sleeps until the last parked entry is
+    /// admitted, once per batch instead of once per job.
     ///
     /// # Errors
     ///
-    /// Returns [`ShutdownError`] if the executor shuts down before the whole
-    /// batch is admitted; the not-yet-submitted remainder stays in `batch`.
+    /// [`ShutdownError`] if the executor shuts down before the whole batch is
+    /// admitted; entries still parked then are dropped unexecuted (their
+    /// completion slots resolve [`JobStatus::Aborted`]), as for a parked
+    /// [`submit`](Executor::submit).
     fn submit_batch(&self, batch: &mut SubmitBatch) -> Result<usize, ShutdownError> {
-        let mut admitted = 0;
-        loop {
-            admitted += self.try_submit_batch(batch);
-            match batch.entries.pop_front() {
-                None => return Ok(admitted),
-                Some((key, job)) => {
-                    self.submit(key, job)?;
-                    admitted += 1;
-                }
-            }
+        let total = batch.len();
+        // Last first: within a queue it is decided last, so one sleep
+        // usually covers every waiter before it.
+        for waiter in self.submit_batch_queued(batch).iter().rev() {
+            waiter.wait()?;
         }
+        Ok(total)
     }
 
     /// Blocks until every job submitted so far has finished executing.

@@ -5,18 +5,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::key::SyncKey;
 
 use super::completion::SubmitWaiter;
+use super::park::{WorkerPark, PARK_BACKSTOP};
 use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
-
-/// Same defensive re-check bound as the other executors' worker loops: every
-/// wait sits in a re-check loop, so a capped wait changes no semantics.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
 
 /// Statistics of a [`MultiQueueExecutor`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -63,13 +59,13 @@ struct QueueInner {
     /// FIFO of submissions parked behind this queue's capacity bound; the
     /// queue's worker admits from the front as it frees slots.
     overflow: VecDeque<(Job, Arc<SubmitWaiter>)>,
-    /// Whether this queue's worker is currently parked on the `work`
-    /// condvar. Maintained under the queue lock, so submitters can skip the
-    /// wakeup when the worker is awake anyway (it re-checks the queue before
-    /// parking) — notifying a busy worker is what made `spurious_wakeups`
-    /// inflate on mixed keyed/`NoSync` bursts: each chained `notify_one`
-    /// landed after the worker had already popped the job.
-    worker_parked: bool,
+    /// Park accounting for this queue's one worker. Maintained under the
+    /// queue lock, so submitters can skip the wakeup when the worker is awake
+    /// anyway (it re-checks the queue before parking) or already being woken
+    /// — notifying a busy worker is what made `spurious_wakeups` inflate on
+    /// mixed keyed/`NoSync` bursts: each chained `notify_one` landed after
+    /// the worker had already popped the job.
+    park: WorkerPark,
 }
 
 struct WorkerQueue {
@@ -138,7 +134,7 @@ impl MultiQueueExecutor {
                     inner: Mutex::new(QueueInner {
                         jobs: VecDeque::new(),
                         overflow: VecDeque::new(),
-                        worker_parked: false,
+                        park: WorkerPark::default(),
                     }),
                     work: Condvar::new(),
                     max_depth: AtomicUsize::new(0),
@@ -250,7 +246,7 @@ impl Executor for MultiQueueExecutor {
             // protected by the same mutex, so the wakeup provably reaches a
             // worker that is (still) parked — a notify after unlocking could
             // instead land after a timeout re-park and count as spurious.
-            if inner.worker_parked {
+            if inner.park.claim_one() {
                 q.work.notify_one();
             }
             inner.jobs.len()
@@ -280,7 +276,7 @@ impl Executor for MultiQueueExecutor {
             inner.jobs.push_back(job);
             let depth = inner.jobs.len();
             // Under the lock for the same exactness argument as try_submit.
-            if inner.worker_parked {
+            if inner.park.claim_one() {
                 q.work.notify_one();
             }
             drop(inner);
@@ -336,7 +332,7 @@ impl Executor for MultiQueueExecutor {
                 }
                 // Under the lock for the same exactness argument as
                 // try_submit.
-                if admitted > 0 && inner.worker_parked {
+                if admitted > 0 && inner.park.claim_one() {
                     q.work.notify_one();
                 }
                 inner.jobs.len()
@@ -378,15 +374,20 @@ impl Executor for MultiQueueExecutor {
         // slots resolve Aborted and their waiters report the shutdown.
         let mut dropped = 0usize;
         for q in &self.shared.queues {
-            let parked: Vec<(Job, Arc<SubmitWaiter>)> =
-                { q.inner.lock().overflow.drain(..).collect() };
+            let (parked, wake) = {
+                let mut inner = q.inner.lock();
+                let parked: Vec<_> = inner.overflow.drain(..).collect();
+                (parked, inner.park.claim_one())
+            };
+            // One worker per queue, so a single targeted wakeup suffices.
+            if wake {
+                q.work.notify_one();
+            }
             for (job, waiter) in parked {
                 drop(job);
                 waiter.abort();
                 dropped += 1;
             }
-            // One worker per queue, so a single targeted wakeup suffices.
-            q.work.notify_one();
         }
         if dropped > 0 {
             self.shared.finish_outstanding(dropped);
@@ -446,19 +447,15 @@ fn worker_loop(shared: &Shared, index: usize) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                // The parked flag and the wait share the queue lock, so a
-                // submitter either sees the flag and notifies, or pushed its
-                // job before the worker's empty-check above — never neither.
-                // With wakeups thus targeted at genuinely parked workers, a
-                // signalled wakeup that finds no job is a real accounting
-                // miss, so the counter below is exact, not an estimate.
-                inner.worker_parked = true;
-                let woken = queue.work.wait_for(&mut inner, PARK_BACKSTOP);
-                inner.worker_parked = false;
-                if !woken.timed_out()
-                    && inner.jobs.is_empty()
-                    && !shared.shutdown.load(Ordering::SeqCst)
-                {
+                // The park accounting and the wait share the queue lock, so a
+                // submitter either sees the sleeper and notifies, or pushed
+                // its job before the worker's empty-check above — never
+                // neither. With wakeups thus targeted at genuinely parked
+                // workers, a signalled wakeup that finds no job is a real
+                // accounting miss, so the counter below is exact, not an
+                // estimate.
+                let notified = WorkerPark::wait(&queue.work, &mut inner, |i| &mut i.park);
+                if notified && inner.jobs.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
                     shared.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
                 }
             }

@@ -40,19 +40,11 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-
-/// Upper bound on how long any executor thread parks before re-checking its
-/// wait condition. Every wait below already sits in a re-check loop, so this
-/// changes no semantics; it is a defensive backstop that turns a lost wakeup
-/// (a condvar signalling bug, present or future) into a bounded-latency
-/// hiccup instead of a deadlocked worker or CI job.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Ring capacity when the queue is unbounded. Bounded queues reuse their
 /// configured capacity so total buffering stays proportional to it.
@@ -65,6 +57,7 @@ use crate::ring::{CachePadded, MpmcRing};
 use crate::stats::{QueueStats, QueueStatsCells};
 
 use super::completion::SubmitWaiter;
+use super::park::{WorkerPark, PARK_BACKSTOP};
 use super::{resolve_ring, Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
 
 /// Statistics of a [`PdqExecutor`].
@@ -92,7 +85,9 @@ pub struct PdqExecutorStats {
 struct Parked {
     key: SyncKey,
     job: Job,
-    waiter: Arc<SubmitWaiter>,
+    /// `None` on every entry of a parked batch but its last: the submitter
+    /// sleeps once, until the whole batch is in.
+    waiter: Option<Arc<SubmitWaiter>>,
 }
 
 pub(super) struct State {
@@ -105,6 +100,8 @@ pub(super) struct State {
     /// may overtake parked entries via the ring.)
     overflow: VecDeque<Parked>,
     shutdown: bool,
+    /// Accounting for the workers parked on `Shared::work`.
+    park: WorkerPark,
 }
 
 /// Monotone relaxed counters for one queue/shard, grouped on their own cache
@@ -156,6 +153,13 @@ pub(super) struct Shared {
     shutdown_flag: AtomicBool,
     /// Mirrors `State::overflow.len()` for the lock-free `queued()`.
     overflow_len: AtomicUsize,
+    /// Workers about to park or parked on `work`, announced (SeqCst) *before*
+    /// their last look at the ring and at `nosync_outstanding`; the
+    /// lock-free sites read it to skip wake-ups nobody is waiting for.
+    parked: CachePadded<AtomicUsize>,
+    /// Threads inside `wait_idle`, announced (SeqCst) before their look at
+    /// `nosync_outstanding`, for the same purpose.
+    idle_waiters: AtomicUsize,
     counters: CachePadded<HotCounters>,
 }
 
@@ -168,6 +172,7 @@ impl Shared {
                 queue,
                 overflow: VecDeque::new(),
                 shutdown: false,
+                park: WorkerPark::default(),
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -178,16 +183,23 @@ impl Shared {
             seq_pending: CachePadded::new(AtomicUsize::new(0)),
             shutdown_flag: AtomicBool::new(false),
             overflow_len: AtomicUsize::new(0),
+            parked: CachePadded::new(AtomicUsize::new(0)),
+            idle_waiters: AtomicUsize::new(0),
             counters: CachePadded::new(HotCounters::default()),
         }
     }
 
-    /// Attempts the lock-free fast path for a `NoSync` job. Hands the job
-    /// back when the fast path is unavailable — ring disabled, a `Sequential`
-    /// barrier pending, or the ring full — and the caller must take the
-    /// mutex path.
-    fn try_ring_submit(&self, job: Job) -> Result<(), Job> {
-        if !self.ring_enabled {
+    /// Wakes sleeping workers for `jobs` newly dispatchable entries.
+    fn wake(&self, state: MutexGuard<'_, State>, jobs: usize) {
+        WorkerPark::wake(&self.work, state, |s| &mut s.park, jobs);
+    }
+
+    /// Attempts the lock-free fast path, which is for `NoSync` jobs only.
+    /// Hands the job back when the fast path is unavailable — another key,
+    /// ring disabled, shutdown begun, a `Sequential` barrier pending, or the
+    /// ring full — and the caller must take the mutex path.
+    fn try_ring_submit(&self, key: SyncKey, job: Job) -> Result<(), Job> {
+        if key != SyncKey::NoSync || !self.ring_enabled || self.is_shutdown() {
             return Err(job);
         }
         // Two-path fence, submit side: advertise the job *before* checking
@@ -201,7 +213,17 @@ impl Shared {
         match self.ring.push(job) {
             Ok(()) => {
                 self.counters.ring_pushed.fetch_add(1, Ordering::Relaxed);
-                self.work.notify_one();
+                // Dekker handshake with `worker_loop`'s park: the worker
+                // announces itself in `parked`, fences, then re-checks the
+                // ring; this side pushes, fences, then reads `parked`. One
+                // of the two always sees the other, so a saturated pool
+                // costs this path neither a lock nor a system call. With a
+                // worker parked, the lock makes the claim exact and orders
+                // the notify after that worker's check-then-park.
+                fence(Ordering::SeqCst);
+                if self.parked.0.load(Ordering::SeqCst) != 0 {
+                    self.wake(self.state.lock(), 1);
+                }
                 Ok(())
             }
             Err(job) => {
@@ -216,16 +238,8 @@ impl Shared {
 
     /// Non-blocking submit: enqueues now or hands the job back.
     pub(super) fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError> {
-        if self.shutdown_flag.load(Ordering::Acquire) {
-            return Err(TrySubmitError::Shutdown(job));
-        }
-        let job = if key == SyncKey::NoSync {
-            match self.try_ring_submit(job) {
-                Ok(()) => return Ok(()),
-                Err(job) => job,
-            }
-        } else {
-            job
+        let Err(job) = self.try_ring_submit(key, job) else {
+            return Ok(());
         };
         let mut state = self.state.lock();
         if state.shutdown {
@@ -241,8 +255,7 @@ impl Shared {
                 if key == SyncKey::Sequential {
                     self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
                 }
-                drop(state);
-                self.work.notify_one();
+                self.wake(state, 1);
                 Ok(())
             }
             Err(full) => Err(TrySubmitError::WouldBlock(full.payload)),
@@ -252,16 +265,9 @@ impl Shared {
     /// Queued submit: enqueues now (admitting `waiter` immediately) or parks
     /// the submission in the overflow FIFO. Never blocks the caller.
     pub(super) fn submit_queued(&self, key: SyncKey, job: Job, waiter: Arc<SubmitWaiter>) {
-        let job = if key == SyncKey::NoSync && !self.shutdown_flag.load(Ordering::Acquire) {
-            match self.try_ring_submit(job) {
-                Ok(()) => {
-                    waiter.admit();
-                    return;
-                }
-                Err(job) => job,
-            }
-        } else {
-            job
+        let Err(job) = self.try_ring_submit(key, job) else {
+            waiter.admit();
+            return;
         };
         let mut state = self.state.lock();
         if state.shutdown {
@@ -274,93 +280,125 @@ impl Shared {
             // the fast-path gate is closed for the barrier's whole lifetime.
             self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
         }
-        if state.overflow.is_empty() {
+        let job = if state.overflow.is_empty() {
             match state.queue.enqueue(key, job) {
                 Ok(()) => {
-                    drop(state);
+                    self.wake(state, 1);
                     waiter.admit();
-                    self.work.notify_one();
+                    return;
                 }
-                Err(full) => {
-                    state.overflow.push_back(Parked {
-                        key,
-                        job: full.payload,
-                        waiter,
-                    });
-                    self.overflow_len
-                        .store(state.overflow.len(), Ordering::Relaxed);
-                }
+                Err(full) => full.payload,
             }
         } else {
-            state.overflow.push_back(Parked { key, job, waiter });
-            self.overflow_len
-                .store(state.overflow.len(), Ordering::Relaxed);
-        }
+            job
+        };
+        state.overflow.push_back(Parked {
+            key,
+            job,
+            waiter: Some(waiter),
+        });
+        self.overflow_len
+            .store(state.overflow.len(), Ordering::Relaxed);
     }
 
-    /// Admits a whole slice of jobs under **one** lock acquisition: entries
-    /// are enqueued in order until the queue refuses one (capacity reached,
-    /// submissions already parked, or shutdown); the refused entry and every
-    /// later one are pushed onto `remaining` with their original batch
-    /// positions, preserving relative order. Returns `(admitted, refused)` —
-    /// `refused` is `true` once this queue has rejected an entry, so callers
-    /// spreading one batch over several queues know to stop feeding this one.
+    /// Admits a batch under **one** lock acquisition: entries are enqueued
+    /// from the front of `entries`, in order, until the queue refuses one
+    /// (capacity reached, submissions already parked, or shutdown). Returns
+    /// how many were admitted.
+    ///
+    /// What happens to the refused entry and everything behind it depends on
+    /// `park`. Without it they stay in `entries` (non-empty afterwards
+    /// exactly when this queue refused). With it they move to the back of
+    /// the overflow FIFO in the same critical section, and the waiter
+    /// attached to the last of them is returned — FIFO admission decides it
+    /// once the whole batch is in the queue; after shutdown they are dropped
+    /// instead and the waiter comes back aborted.
     ///
     /// Batches stay on the mutex path even for `NoSync` entries: a batch
     /// already amortizes the lock over its length, and in-order admission is
     /// part of the batch contract.
     pub(super) fn enqueue_batch(
         &self,
-        items: Vec<(usize, SyncKey, Job)>,
-        remaining: &mut Vec<(usize, SyncKey, Job)>,
-    ) -> (usize, bool) {
-        if items.is_empty() {
-            return (0, false);
+        entries: &mut VecDeque<(SyncKey, Job)>,
+        park: bool,
+    ) -> (usize, Option<Arc<SubmitWaiter>>) {
+        if entries.is_empty() {
+            return (0, None);
         }
-        let mut admitted = 0usize;
-        let mut refused;
-        {
-            let mut state = self.state.lock();
-            refused = state.shutdown || !state.overflow.is_empty();
-            for (idx, key, job) in items {
-                if refused {
-                    remaining.push((idx, key, job));
-                    continue;
+        let mut state = self.state.lock();
+        if state.shutdown {
+            drop(state);
+            if !park {
+                return (0, None);
+            }
+            entries.clear();
+            let waiter = SubmitWaiter::new();
+            waiter.abort();
+            return (0, Some(waiter));
+        }
+        let mut admitted = 0;
+        // Nothing may barge past submissions that are already parked.
+        if state.overflow.is_empty() {
+            while let Some((key, job)) = entries.pop_front() {
+                if let Err(full) = state.queue.enqueue(key, job) {
+                    entries.push_front((full.key, full.payload));
+                    break;
                 }
-                match state.queue.enqueue(key, job) {
-                    Ok(()) => {
-                        if key == SyncKey::Sequential {
-                            self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-                        }
-                        admitted += 1;
-                    }
-                    Err(full) => {
-                        refused = true;
-                        remaining.push((idx, full.key, full.payload));
-                    }
+                if key == SyncKey::Sequential {
+                    self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
                 }
+                admitted += 1;
             }
         }
-        match admitted {
-            0 => {}
-            // A single new entry needs one worker; a slice may unblock
-            // several distinct keys at once, so wake them all — the herd is
-            // bounded by the batch the caller just paid for.
-            1 => self.work.notify_one(),
-            _ => self.work.notify_all(),
+        let waiter = (park && !entries.is_empty()).then(SubmitWaiter::new);
+        if let Some(last) = &waiter {
+            let parked = entries.len();
+            for (i, (key, job)) in entries.drain(..).enumerate() {
+                if key == SyncKey::Sequential {
+                    self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
+                }
+                let waiter = (i + 1 == parked).then(|| Arc::clone(last));
+                state.overflow.push_back(Parked { key, job, waiter });
+            }
+            self.overflow_len
+                .store(state.overflow.len(), Ordering::Relaxed);
         }
-        (admitted, refused)
+        // One new entry needs one worker; a slice may unblock several keys
+        // at once, so it gets as many as it has entries (and sleepers).
+        self.wake(state, admitted);
+        (admitted, waiter)
     }
 
     /// Blocks until the queue has nothing waiting, nothing parked, nothing in
     /// flight, and no outstanding fast-path jobs.
     pub(super) fn wait_idle(&self) {
         let mut state = self.state.lock();
+        // Announced before the look at `nosync_outstanding` below, so the
+        // lock-free completion that zeroes it either sees this waiter or is
+        // seen by it (both sides SeqCst).
+        self.idle_waiters.fetch_add(1, Ordering::SeqCst);
         while !(state.queue.is_idle()
             && state.overflow.is_empty()
             && self.nosync_outstanding.0.load(Ordering::SeqCst) == 0)
         {
             self.idle.wait_for(&mut state, PARK_BACKSTOP);
+        }
+        self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Called with the lock held whenever the queue side may have gone idle:
+    /// wakes `wait_idle` callers, and — during shutdown — the workers parked
+    /// in the drain branch of `worker_loop`, which wait on `work` for the
+    /// last in-flight jobs. Both are rare, so the notifies stay under the
+    /// lock.
+    fn notify_if_idle(&self, state: &mut State) {
+        if state.queue.is_idle() && state.overflow.is_empty() {
+            if self.idle_waiters.load(Ordering::SeqCst) != 0 {
+                self.idle.notify_all();
+            }
+            if state.shutdown && state.park.claim_all() {
+                self.work.notify_all();
+            }
         }
     }
 
@@ -368,12 +406,15 @@ impl Shared {
     /// and wakes every parked worker.
     pub(super) fn begin_shutdown(&self) {
         self.shutdown_flag.store(true, Ordering::SeqCst);
-        let parked: Vec<Parked> = {
+        let (parked, wake): (Vec<Parked>, bool) = {
             let mut state = self.state.lock();
             state.shutdown = true;
             self.overflow_len.store(0, Ordering::Relaxed);
-            state.overflow.drain(..).collect()
+            (state.overflow.drain(..).collect(), state.park.claim_all())
         };
+        if wake {
+            self.work.notify_all();
+        }
         for p in parked {
             if p.key == SyncKey::Sequential {
                 // A dropped parked barrier will never complete; reopen the
@@ -383,9 +424,10 @@ impl Shared {
             // Dropping the job resolves any attached completion slot as
             // Aborted; the waiter tells blocking/async submitters.
             drop(p.job);
-            p.waiter.abort();
+            if let Some(waiter) = p.waiter {
+                waiter.abort();
+            }
         }
-        self.work.notify_all();
     }
 
     /// Whether shutdown has begun. Exact, not racy, for trait callers:
@@ -459,13 +501,19 @@ fn run_ring_job(home: &Shared, job: Job) {
     // Two-path fence, completion side: SeqCst so a Sequential gate (or a
     // flush / shutdown drain) that observes zero also observes everything
     // the job wrote.
-    if home.nosync_outstanding.0.fetch_sub(1, Ordering::SeqCst) == 1 {
-        // Possibly the last outstanding fast-path job: wake idle waiters and
-        // any Sequential gate. Signalled without the mutex; the PARK_BACKSTOP
-        // on every wait bounds the cost of the rare race where a waiter is
-        // between its re-check and its park.
-        home.idle.notify_all();
-        home.work.notify_all();
+    if home.nosync_outstanding.0.fetch_sub(1, Ordering::SeqCst) == 1
+        && (home.idle_waiters.load(Ordering::SeqCst) != 0
+            || (home.parked.0.load(Ordering::SeqCst) != 0
+                && home.shutdown_flag.load(Ordering::SeqCst)))
+    {
+        // Possibly the last outstanding fast-path job, and someone may be
+        // waiting for exactly that: a `wait_idle` caller, or (during
+        // shutdown) a worker in the drain branch. Both announce themselves
+        // before they look at `nosync_outstanding`, so finding neither here
+        // means they will find zero there. (A `Sequential` gate spins; it
+        // needs no wake-up.) Taking the lock orders the notify after the
+        // waiter's check-then-park, so it cannot fall in between.
+        home.notify_if_idle(&mut home.state.lock());
     }
 }
 
@@ -689,18 +737,13 @@ impl Executor for PdqExecutor {
     /// Admits the whole batch under one dispatch-lock acquisition instead of
     /// one lock round-trip per job.
     fn try_submit_batch(&self, batch: &mut SubmitBatch) -> usize {
-        let items: Vec<(usize, SyncKey, Job)> = batch
-            .entries
-            .drain(..)
-            .enumerate()
-            .map(|(idx, (key, job))| (idx, key, job))
-            .collect();
-        let mut remaining = Vec::new();
-        let (admitted, _) = self.shared.enqueue_batch(items, &mut remaining);
-        batch
-            .entries
-            .extend(remaining.into_iter().map(|(_, key, job)| (key, job)));
-        admitted
+        self.shared.enqueue_batch(&mut batch.entries, false).0
+    }
+
+    /// Admits what fits and parks the rest under the same single lock
+    /// acquisition, behind one waiter.
+    fn submit_batch_queued(&self, batch: &mut SubmitBatch) -> Vec<Arc<SubmitWaiter>> {
+        Vec::from_iter(self.shared.enqueue_batch(&mut batch.entries, true).1)
     }
 
     fn flush(&self) {
@@ -743,8 +786,14 @@ pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
             continue;
         }
 
+        // Keyed work back to back, one lock acquisition per job: a completion
+        // and the next dispatch share a critical section, so whatever the
+        // completion released (the job's key, a sequential barrier) is taken
+        // by this worker itself and needs no wake-up. The lock is given up in
+        // between only when the ring has work, so `NoSync` jobs cannot
+        // starve.
         let mut state = shared.state.lock();
-        if let Some(dispatch) = state.queue.try_dispatch() {
+        while let Some(dispatch) = state.queue.try_dispatch() {
             // The dispatch freed a waiting slot: admit parked submissions in
             // FIFO order while the queue has room. Doing it in the same
             // critical section as the dispatch means there is never a window
@@ -752,7 +801,7 @@ pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
             let mut admitted: Vec<Arc<SubmitWaiter>> = Vec::new();
             while let Some(parked) = state.overflow.pop_front() {
                 match state.queue.enqueue(parked.key, parked.job) {
-                    Ok(()) => admitted.push(parked.waiter),
+                    Ok(()) => admitted.extend(parked.waiter),
                     Err(full) => {
                         state.overflow.push_front(Parked {
                             key: parked.key,
@@ -766,31 +815,23 @@ pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
             shared
                 .overflow_len
                 .store(state.overflow.len(), Ordering::Relaxed);
-            // If more entries are dispatchable right now, hand one to a
-            // parked peer instead of letting it wait for the next
-            // submit/complete signal. Targeted `notify_one` wakeups (rather
-            // than a `notify_all` herd per job) keep the handoff cost flat as
-            // workers are added: busy workers always re-check the queue
-            // before parking, so a wakeup is only ever needed when new work
-            // appears (submit or admission), a dispatch leaves more behind
-            // (here), or a completion unblocks a successor (below).
-            let more = state.queue.has_dispatchable();
-            drop(state);
+            // If more is dispatchable right now, hand it to a sleeping peer
+            // (if one has no wake-up on its way) instead of letting it wait
+            // for this worker. Awake peers need nothing: every worker
+            // re-checks the queue under the lock before it parks.
+            let more = usize::from(state.queue.has_dispatchable());
+            shared.wake(state, more);
             for waiter in admitted {
                 waiter.admit();
-            }
-            if more {
-                shared.work.notify_one();
             }
             if dispatch.key == SyncKey::Sequential {
                 wait_fast_path_quiescent(shared);
             }
-            let outcome = catch_unwind(AssertUnwindSafe(dispatch.payload));
-            match outcome {
+            match catch_unwind(AssertUnwindSafe(dispatch.payload)) {
                 Ok(()) => shared.counters.executed.fetch_add(1, Ordering::Relaxed),
                 Err(_) => shared.counters.panicked.fetch_add(1, Ordering::Relaxed),
             };
-            let mut state = shared.state.lock();
+            state = shared.state.lock();
             state
                 .queue
                 .complete(dispatch.ticket)
@@ -799,65 +840,50 @@ pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
                 // The barrier is done: reopen the fast-path gate.
                 shared.seq_pending.0.fetch_sub(1, Ordering::SeqCst);
             }
-            if state.queue.is_idle() && state.overflow.is_empty() {
-                shared.idle.notify_all();
-                // Workers parked in the shutdown-drain branch below wait on
-                // `work` for the queue to become idle.
-                shared.work.notify_all();
-            } else if state.queue.has_dispatchable() {
-                // The completion released this job's key (or a sequential
-                // barrier); this worker dispatches on its next loop
-                // iteration, and a peer is woken in case this worker is
-                // about to exit on shutdown.
-                shared.work.notify_one();
-            }
-            continue;
-        }
-
-        let fast_quiet = shared.nosync_outstanding.0.load(Ordering::SeqCst) == 0;
-        if state.shutdown {
-            if state.queue.is_idle() && fast_quiet {
-                return;
-            }
+            shared.notify_if_idle(&mut state);
             if !shared.ring.is_empty() {
-                // Undrained fast-path jobs: the loop top pops them.
-                continue;
+                break;
             }
-            if state.queue.has_dispatchable() {
-                continue;
-            }
-            if state.queue.in_flight() == 0 && fast_quiet {
-                // Shutdown with undispatchable work should be impossible
-                // (keys are always eventually released), but never spin here.
-                return;
-            }
-            // Peers (or thieves) are finishing the last jobs; wait for them.
-            shared.work.wait_for(&mut state, PARK_BACKSTOP);
+        }
+        if !shared.ring.is_empty() {
+            // Off to the ring; a sleeping peer can take what is dispatchable
+            // here meanwhile.
+            let more = usize::from(state.queue.has_dispatchable());
+            shared.wake(state, more);
             continue;
         }
 
-        // Nothing dispatchable locally and not shutting down: scan sibling
-        // shards' rings before parking.
-        if let Some(ctx) = steal {
+        // Nothing dispatchable here: scan sibling shards' rings before
+        // parking.
+        if let Some(ctx) = steal.filter(|_| !state.shutdown) {
             drop(state);
             if steal_one(shared, ctx) {
                 continue;
             }
             state = shared.state.lock();
-            if state.shutdown || state.queue.has_dispatchable() {
+            if state.queue.has_dispatchable() {
                 continue;
             }
         }
-        if !shared.ring.is_empty() {
-            // Re-check under the lock immediately before parking: a push
-            // may have raced the pop at the loop top.
-            continue;
-        }
-        let woken = shared.work.wait_for(&mut state, PARK_BACKSTOP);
-        if !woken.timed_out()
-            && !state.shutdown
-            && !state.queue.has_dispatchable()
+
+        // Announce the park before the last look at the lock-free state (the
+        // ring, `nosync_outstanding`): a ring push or a fast-path completion
+        // that this look misses is then guaranteed to see the announcement
+        // and notify (see `try_ring_submit` and `run_ring_job`).
+        shared.parked.0.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let fast_quiet = shared.nosync_outstanding.0.load(Ordering::SeqCst) == 0;
+        let exit = state.shutdown && state.queue.in_flight() == 0 && fast_quiet;
+        // Not exiting on shutdown means peers (or thieves) are finishing the
+        // last jobs, or the ring still holds some for the loop top.
+        let notified = !exit
             && shared.ring.is_empty()
+            && WorkerPark::wait(&shared.work, &mut state, |s| &mut s.park);
+        shared.parked.0.fetch_sub(1, Ordering::SeqCst);
+        if exit {
+            return;
+        }
+        if notified && !state.shutdown && !state.queue.has_dispatchable() && shared.ring.is_empty()
         {
             shared
                 .counters

@@ -22,24 +22,20 @@
 //! — an acceptable price for what the paper describes as a rare operation
 //! (e.g. page allocation).
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-
-/// Same defensive re-check bound as the worker loops (see `pdq.rs`): barrier
-/// stubs park in condition loops, so a capped wait changes no semantics and
-/// keeps a lost wakeup from wedging a shard forever.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
 
 use crate::config::QueueConfig;
 use crate::key::SyncKey;
 use crate::stats::QueueStats;
 
 use super::completion::SubmitWaiter;
+use super::park::PARK_BACKSTOP;
 use super::pdq::{spawn_workers, Shared, StealContext};
 use super::{resolve_ring, Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
 
@@ -378,8 +374,16 @@ impl ShardedPdqExecutor {
         (key.wrapping_mul(HASH_SEED) >> 32) as usize % self.shards.len()
     }
 
-    fn shard_for(&self, key: u64) -> &Arc<Shared> {
-        &self.shards[self.shard_index(key)]
+    /// The shard a keyed or `NoSync` job is queued on (`None` for
+    /// `Sequential`, which goes to every shard).
+    fn route(&self, key: SyncKey) -> Option<usize> {
+        match key {
+            SyncKey::Key(k) => Some(self.shard_index(k)),
+            SyncKey::NoSync => {
+                Some(self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len())
+            }
+            SyncKey::Sequential => None,
+        }
     }
 
     /// Escalates a `Sequential` job to a global barrier: followers first,
@@ -412,6 +416,81 @@ impl ShardedPdqExecutor {
             guard.barrier.lead(job);
         });
         self.shards[0].submit_queued(SyncKey::Sequential, stub, waiter);
+    }
+
+    /// The pass behind [`Executor::try_submit_batch`] (see there for the
+    /// admission rules) and, with `park`, behind
+    /// [`Executor::submit_batch_queued`]: then nothing is ever refused — what
+    /// a shard cannot take moves to its overflow FIFO (see
+    /// `Shared::enqueue_batch`) — and the waiters to sleep on are returned
+    /// next to the number admitted on the spot.
+    fn admit_batch(&self, batch: &mut SubmitBatch, park: bool) -> (usize, Vec<Arc<SubmitWaiter>>) {
+        /// One shard's share of the batch, with the batch position of each
+        /// gathered entry so refused ones can be handed back in order.
+        #[derive(Default)]
+        struct Slice {
+            entries: VecDeque<(SyncKey, Job)>,
+            positions: Vec<usize>,
+            refused: bool,
+        }
+        let mut slices: Vec<Slice> = self.shards.iter().map(|_| Slice::default()).collect();
+        let mut remaining: Vec<(usize, SyncKey, Job)> = Vec::new();
+        let mut waiters = Vec::new();
+        let mut admitted = 0usize;
+        let flush = |slices: &mut [Slice],
+                     remaining: &mut Vec<(usize, SyncKey, Job)>,
+                     waiters: &mut Vec<Arc<SubmitWaiter>>| {
+            let mut flushed = 0usize;
+            for (shard, slice) in self.shards.iter().zip(slices) {
+                let (count, waiter) = shard.enqueue_batch(&mut slice.entries, park);
+                flushed += count;
+                waiters.extend(waiter);
+                slice.refused |= !slice.entries.is_empty();
+                let positions = std::mem::take(&mut slice.positions);
+                remaining.extend(
+                    positions[count..]
+                        .iter()
+                        .zip(slice.entries.drain(..))
+                        .map(|(&idx, (key, job))| (idx, key, job)),
+                );
+            }
+            flushed
+        };
+        // Collected up front (not a live `drain` iterator) so bailing out at
+        // a barrier can hand the tail back instead of dropping it.
+        let entries: Vec<(SyncKey, Job)> = batch.entries.drain(..).collect();
+        let mut entries = entries.into_iter().enumerate();
+        for (idx, (key, job)) in entries.by_ref() {
+            let Some(shard) = self.route(key) else {
+                admitted += flush(&mut slices, &mut remaining, &mut waiters);
+                if !remaining.is_empty() {
+                    // An earlier entry was refused: broadcasting now would
+                    // run the barrier ahead of it. Hand the barrier and the
+                    // whole tail back instead.
+                    remaining.push((idx, key, job));
+                    remaining.extend(entries.map(|(i, (k, j))| (i, k, j)));
+                    break;
+                }
+                let waiter = SubmitWaiter::new();
+                self.broadcast_sequential_barrier(job, Arc::clone(&waiter));
+                waiters.push(waiter);
+                admitted += 1;
+                continue;
+            };
+            let slice = &mut slices[shard];
+            if slice.refused {
+                remaining.push((idx, key, job));
+            } else {
+                slice.entries.push_back((key, job));
+                slice.positions.push(idx);
+            }
+        }
+        admitted += flush(&mut slices, &mut remaining, &mut waiters);
+        remaining.sort_by_key(|&(idx, _, _)| idx);
+        batch
+            .entries
+            .extend(remaining.into_iter().map(|(_, key, job)| (key, job)));
+        (admitted, waiters)
     }
 
     /// Returns a snapshot of the executor's detailed statistics, merged
@@ -452,34 +531,23 @@ impl Executor for ShardedPdqExecutor {
     /// only `Key`/`NoSync` jobs can observe
     /// [`TrySubmitError::WouldBlock`].
     fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError> {
-        match key {
-            SyncKey::Key(k) => self.shard_for(k).try_submit(key, job),
-            SyncKey::NoSync => {
-                let idx = self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.shards[idx].try_submit(key, job)
-            }
-            SyncKey::Sequential => {
-                // `shutdown` takes `&mut self`, so this check cannot race a
-                // concurrent shutdown: after it, every shard accepts the
-                // broadcast stubs.
-                if self.shards[0].is_shutdown() {
-                    return Err(TrySubmitError::Shutdown(job));
-                }
-                let waiter = SubmitWaiter::new();
-                self.broadcast_sequential_barrier(job, waiter);
-                Ok(())
-            }
+        if let Some(shard) = self.route(key) {
+            return self.shards[shard].try_submit(key, job);
         }
+        // `shutdown` takes `&mut self`, so this check cannot race a
+        // concurrent shutdown: after it, every shard accepts the broadcast
+        // stubs.
+        if self.shards[0].is_shutdown() {
+            return Err(TrySubmitError::Shutdown(job));
+        }
+        self.broadcast_sequential_barrier(job, SubmitWaiter::new());
+        Ok(())
     }
 
     fn submit_queued(&self, key: SyncKey, job: Job, waiter: Arc<SubmitWaiter>) {
-        match key {
-            SyncKey::Key(k) => self.shard_for(k).submit_queued(key, job, waiter),
-            SyncKey::NoSync => {
-                let idx = self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.shards[idx].submit_queued(key, job, waiter);
-            }
-            SyncKey::Sequential => self.broadcast_sequential_barrier(job, waiter),
+        match self.route(key) {
+            Some(shard) => self.shards[shard].submit_queued(key, job, waiter),
+            None => self.broadcast_sequential_barrier(job, waiter),
         }
     }
 
@@ -500,63 +568,14 @@ impl Executor for ShardedPdqExecutor {
         if self.shards[0].is_shutdown() {
             return 0;
         }
-        let shard_count = self.shards.len();
-        // Collected up front (not a live `drain` iterator) so bailing out at
-        // a barrier can hand the tail back instead of dropping it.
-        let entries: Vec<(SyncKey, Job)> = batch.entries.drain(..).collect();
-        let mut pending: Vec<Vec<(usize, SyncKey, Job)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        let mut refused = vec![false; shard_count];
-        let mut remaining: Vec<(usize, SyncKey, Job)> = Vec::new();
-        let mut admitted = 0usize;
-        let flush = |pending: &mut Vec<Vec<(usize, SyncKey, Job)>>,
-                     refused: &mut Vec<bool>,
-                     remaining: &mut Vec<(usize, SyncKey, Job)>| {
-            let mut flushed = 0usize;
-            for (shard, items) in pending.iter_mut().enumerate() {
-                let items = std::mem::take(items);
-                if refused[shard] {
-                    remaining.extend(items);
-                    continue;
-                }
-                let (count, shard_refused) = self.shards[shard].enqueue_batch(items, remaining);
-                flushed += count;
-                refused[shard] |= shard_refused;
-            }
-            flushed
-        };
-        let mut entries = entries.into_iter().enumerate();
-        for (idx, (key, job)) in entries.by_ref() {
-            let shard = match key {
-                SyncKey::Key(k) => self.shard_index(k),
-                SyncKey::NoSync => self.round_robin.fetch_add(1, Ordering::Relaxed) % shard_count,
-                SyncKey::Sequential => {
-                    admitted += flush(&mut pending, &mut refused, &mut remaining);
-                    if !remaining.is_empty() {
-                        // An earlier entry was refused: broadcasting now
-                        // would run the barrier ahead of it. Hand the
-                        // barrier and the whole tail back instead.
-                        remaining.push((idx, key, job));
-                        remaining.extend(entries.map(|(i, (k, j))| (i, k, j)));
-                        break;
-                    }
-                    self.broadcast_sequential_barrier(job, SubmitWaiter::new());
-                    admitted += 1;
-                    continue;
-                }
-            };
-            if refused[shard] {
-                remaining.push((idx, key, job));
-            } else {
-                pending[shard].push((idx, key, job));
-            }
-        }
-        admitted += flush(&mut pending, &mut refused, &mut remaining);
-        remaining.sort_by_key(|&(idx, _, _)| idx);
-        batch
-            .entries
-            .extend(remaining.into_iter().map(|(_, key, job)| (key, job)));
-        admitted
+        self.admit_batch(batch, false).0
+    }
+
+    /// The same pass, but what a shard cannot take is parked behind that
+    /// shard's capacity bound under the same lock acquisition, with one
+    /// waiter per shard that had to park (and one per `Sequential` entry).
+    fn submit_batch_queued(&self, batch: &mut SubmitBatch) -> Vec<Arc<SubmitWaiter>> {
+        self.admit_batch(batch, true).1
     }
 
     fn flush(&self) {

@@ -5,17 +5,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::key::SyncKey;
 
 use super::completion::SubmitWaiter;
+use super::park::{WorkerPark, PARK_BACKSTOP};
 use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
-
-/// Same defensive re-check bound as the other executors' worker loops.
-const PARK_BACKSTOP: Duration = Duration::from_millis(50);
 
 /// Number of spin locks in the lock table. Keys are hashed onto slots, so two
 /// distinct keys may occasionally contend on the same lock — exactly the kind
@@ -89,6 +86,15 @@ struct QueueState {
     overflow: VecDeque<(SyncKey, Job, Arc<SubmitWaiter>)>,
     outstanding: usize,
     shutdown: bool,
+    /// Accounting for the workers parked on `Shared::work`.
+    park: WorkerPark,
+}
+
+impl Shared {
+    /// Wakes sleeping workers for `jobs` newly queued jobs.
+    fn wake(&self, q: MutexGuard<'_, QueueState>, jobs: usize) {
+        WorkerPark::wake(&self.work, q, |q| &mut q.park, jobs);
+    }
 }
 
 /// The conventional parallelization of fine-grain handlers (paper, Figure 2
@@ -130,6 +136,7 @@ impl SpinLockExecutor {
                 overflow: VecDeque::new(),
                 outstanding: 0,
                 shutdown: false,
+                park: WorkerPark::default(),
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -186,8 +193,7 @@ impl Executor for SpinLockExecutor {
         }
         q.jobs.push_back((key, job));
         q.outstanding += 1;
-        drop(q);
-        self.shared.work.notify_one();
+        self.shared.wake(q, 1);
         Ok(())
     }
 
@@ -204,9 +210,8 @@ impl Executor for SpinLockExecutor {
             q.overflow.push_back((key, job, waiter));
         } else {
             q.jobs.push_back((key, job));
-            drop(q);
+            self.shared.wake(q, 1);
             waiter.admit();
-            self.shared.work.notify_one();
         }
     }
 
@@ -214,27 +219,17 @@ impl Executor for SpinLockExecutor {
     /// FIFO has a single capacity bound, so admission stops at the first
     /// entry that does not fit).
     fn try_submit_batch(&self, batch: &mut SubmitBatch) -> usize {
+        let mut q = self.shared.queue.lock();
+        if q.shutdown {
+            return 0;
+        }
         let mut admitted = 0usize;
-        {
-            let mut q = self.shared.queue.lock();
-            if q.shutdown {
-                return 0;
-            }
-            while !batch.entries.is_empty() {
-                if self.is_full(&q) {
-                    break;
-                }
-                let (key, job) = batch.entries.pop_front().expect("checked non-empty");
-                q.jobs.push_back((key, job));
-                q.outstanding += 1;
-                admitted += 1;
-            }
+        while !batch.entries.is_empty() && !self.is_full(&q) {
+            q.jobs.extend(batch.entries.pop_front());
+            q.outstanding += 1;
+            admitted += 1;
         }
-        match admitted {
-            0 => {}
-            1 => self.shared.work.notify_one(),
-            _ => self.shared.work.notify_all(),
-        }
+        self.shared.wake(q, admitted);
         admitted
     }
 
@@ -246,18 +241,20 @@ impl Executor for SpinLockExecutor {
     }
 
     fn shutdown(&mut self) {
-        let parked: Vec<(SyncKey, Job, Arc<SubmitWaiter>)> = {
+        let (parked, wake) = {
             let mut q = self.shared.queue.lock();
             q.shutdown = true;
             let parked: Vec<_> = q.overflow.drain(..).collect();
             q.outstanding -= parked.len();
-            parked
+            (parked, q.park.claim_all())
         };
+        if wake {
+            self.shared.work.notify_all();
+        }
         for (_, job, waiter) in parked {
             drop(job);
             waiter.abort();
         }
-        self.shared.work.notify_all();
         self.shared.idle.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -314,19 +311,21 @@ fn worker_loop(shared: &Shared) {
                         q.jobs.push_back((pkey, pjob));
                         admitted.push(waiter);
                     }
+                    // Each admitted entry is new dispatchable work for a
+                    // sleeping peer — this worker is about to be busy with
+                    // `job`.
+                    let jobs = admitted.len();
+                    shared.wake(q, jobs);
                     break (key, job, admitted);
                 }
                 if q.shutdown {
                     return;
                 }
-                shared.work.wait_for(&mut q, PARK_BACKSTOP);
+                WorkerPark::wait(&shared.work, &mut q, |q| &mut q.park);
             }
         };
         for waiter in admitted {
             waiter.admit();
-            // Each admitted entry is new dispatchable work; wake a parked
-            // peer for it — this worker is about to be busy with `job`.
-            shared.work.notify_one();
         }
 
         let slot = slot_for(key);
