@@ -437,6 +437,17 @@ impl<R: Send + 'static> TypedFuture<R> {
     }
 }
 
+/// The future of a job submitted by other means (a
+/// [`SubmitBatch`](super::SubmitBatch) entry from [`attach_returning`]): it
+/// awaits no admission, only the job — [`JobError::Aborted`] if it is dropped.
+impl<R: Send + 'static> From<TypedHandle<R>> for TypedFuture<R> {
+    fn from(TypedHandle { handle, take }: TypedHandle<R>) -> Self {
+        let waiter = None;
+        let inner = SubmitFuture { waiter, handle };
+        Self { inner, take }
+    }
+}
+
 impl<R: Send + 'static> Future for TypedFuture<R> {
     type Output = Result<R, JobError>;
 
@@ -567,17 +578,16 @@ impl SubmitWaiter {
 #[derive(Debug)]
 #[must_use = "futures do nothing unless polled; the submission still happens, but its outcome is silently discarded"]
 pub struct SubmitFuture {
-    waiter: Arc<SubmitWaiter>,
+    /// The admission still awaited; `None` once admitted.
+    waiter: Option<Arc<SubmitWaiter>>,
     handle: CompletionHandle,
-    admitted: bool,
 }
 
 impl SubmitFuture {
     pub(super) fn new(waiter: Arc<SubmitWaiter>, handle: CompletionHandle) -> Self {
         Self {
-            waiter,
+            waiter: Some(waiter),
             handle,
-            admitted: false,
         }
     }
 
@@ -592,9 +602,9 @@ impl Future for SubmitFuture {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        if !this.admitted {
-            match this.waiter.poll_decided(cx) {
-                Poll::Ready(Ok(())) => this.admitted = true,
+        if let Some(waiter) = &this.waiter {
+            match waiter.poll_decided(cx) {
+                Poll::Ready(Ok(())) => this.waiter = None,
                 Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
                 Poll::Pending => return Poll::Pending,
             }

@@ -1107,36 +1107,42 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
             close_after_sends: Some(close_after),
             ..FaultPlan::clean(cfg.seed)
         };
-        let outcome = std::thread::scope(|scope| {
+        // The report counts the frames offered: how many of them leave
+        // before the close fires is a matter of timing.
+        frames_sent += flood.len() as u64;
+        let (client, served) = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
                 let mut faulted = FaultTransport::new(server_end, plan);
                 serve(&service, &mut faulted, w)
             });
-            for event in flood {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-            }
-            frames_sent += flood.len() as u64;
-            // The two acks that escaped before the close must still verify.
-            let mut queue: VecDeque<Expect> =
-                flood.iter().map(|e| Expect::for_event(e, false)).collect();
-            let mut panicked = 0u64;
-            for _ in 0..close_after {
-                read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
-            }
-            // The server died mid-connection; the client sees a close.
-            match client_end.recv() {
-                Ok(None) => {}
-                other => {
-                    return Err(ServerError::Protocol(format!(
-                        "disconnect: expected the faulted server to close, got {other:?}"
-                    )))
+            let client = (|| {
+                for event in flood {
+                    match client_end.send(&encode_event_request(event)) {
+                        Ok(()) => {}
+                        // The close has fired and the server's end is gone.
+                        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => break,
+                        Err(e) => return Err(ServerError::Io(e)),
+                    }
                 }
-            }
-            server.join().expect("server thread")
+                // The two acks that escaped before the close must still verify.
+                let mut queue: VecDeque<Expect> =
+                    flood.iter().map(|e| Expect::for_event(e, false)).collect();
+                let mut panicked = 0u64;
+                for _ in 0..close_after {
+                    read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
+                }
+                // The server died mid-connection; the client sees a close.
+                match client_end.recv() {
+                    Ok(None) => Ok(()),
+                    other => Err(ServerError::Protocol(format!(
+                        "disconnect: expected the faulted server to close, got {other:?}"
+                    ))),
+                }
+            })();
+            (client, server.join().expect("server thread"))
         });
-        match outcome {
+        client?;
+        match served {
             Err(ServerError::Io(_)) => io_errors += 1,
             other => {
                 return Err(ServerError::Protocol(format!(
@@ -1521,6 +1527,28 @@ mod tests {
             let json = report.to_json_string();
             assert!(json.contains(&format!("\"scenario\": \"{}\"", scenario.name())));
             assert!(json.contains("\"block_checksum\""));
+        }
+        pool.shutdown();
+    }
+
+    /// The injected close races the client's flood: whether the server's end
+    /// is gone before, during or after the last send must not show in the
+    /// report. A small window makes the server finish early in the flood.
+    #[test]
+    fn disconnect_report_does_not_depend_on_who_wins_the_close_race() {
+        let mut pool = build_executor("pdq", &ExecutorSpec::new(2).capacity(64)).expect("builds");
+        let cfg = ChaosConfig::quick(Scenario::Disconnect)
+            .events(120)
+            .window(2);
+        let first = run_chaos(&*pool, &cfg).expect("disconnect survives");
+        for round in 1..200 {
+            let report = run_chaos(&*pool, &cfg)
+                .unwrap_or_else(|e| panic!("round {round}: disconnect failed: {e}"));
+            assert_eq!(
+                report.to_json_string(),
+                first.to_json_string(),
+                "round {round}"
+            );
         }
         pool.shutdown();
     }

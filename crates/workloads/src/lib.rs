@@ -53,8 +53,8 @@ pub use service::{
 };
 pub use trace::{Action, Topology, Workload, WorkloadScale};
 pub use transport::{
-    loopback_pair, FillStatus, FrameDecoder, FrameEncoder, LoopbackTransport, TcpTransport,
-    Transport, DECODER_SOFT_CAP,
+    loopback_pair, FillStatus, FrameDecoder, FrameEncoder, FramedStream, LoopbackTransport,
+    TcpTransport, Transport, DECODER_SOFT_CAP,
 };
 pub use wal::{
     recover_dir, replay, scan_bytes, scan_bytes_full, FaultSink, SharedSink, WalFaultPlan,

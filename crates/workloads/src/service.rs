@@ -87,6 +87,13 @@ pub trait ProtocolService: Send + Sync {
     /// keeps the future pending, parking the server loop's window).
     fn call(&self, request: ProtocolEvent) -> TypedFuture<Reply>;
 
+    /// Dispatches a burst of requests and returns their reply futures, both
+    /// in order. The default is one [`call`](Self::call) per request; a
+    /// service that can admit the burst in one pass overrides it.
+    fn call_burst(&self, requests: Vec<ProtocolEvent>) -> Vec<TypedFuture<Reply>> {
+        requests.into_iter().map(|r| self.call(r)).collect()
+    }
+
     /// Blocks until every dispatched request has finished.
     fn flush(&self);
 
@@ -140,6 +147,23 @@ impl ProtocolService for ExecutorService<'_> {
                 state.handle(&request);
                 Reply::for_event(&request)
             })
+    }
+
+    fn call_burst(&self, requests: Vec<ProtocolEvent>) -> Vec<TypedFuture<Reply>> {
+        let mut batch = SubmitBatch::with_capacity(requests.len());
+        let replies = requests
+            .into_iter()
+            .map(|request| {
+                let (key, job, handle) = self.prepare(request);
+                batch.push(key, job);
+                handle.into()
+            })
+            .collect();
+        // One dispatch-lock hold per burst. Nobody waits for admission: a
+        // reply resolves once its job has run, and `Aborted` if the entry is
+        // still parked at shutdown.
+        drop(self.executor.submit_batch_queued(&mut batch));
+        replies
     }
 
     fn flush(&self) {
@@ -627,11 +651,15 @@ pub(crate) fn decode_aggregate_reply(frame: &[u8]) -> Result<ServerAggregate, Se
 /// protocol violation by the peer, not an I/O fault of this host, so it must
 /// not surface as a bare [`ServerError::Io`].
 pub(crate) fn recv_frame(transport: &mut dyn Transport) -> Result<Option<Vec<u8>>, ServerError> {
-    transport.recv().map_err(|e| match e.kind() {
+    transport.recv().map_err(frame_error)
+}
+
+fn frame_error(e: std::io::Error) -> ServerError {
+    match e.kind() {
         std::io::ErrorKind::UnexpectedEof => ServerError::Protocol(format!("truncated frame: {e}")),
         std::io::ErrorKind::InvalidData => ServerError::Protocol(format!("malformed frame: {e}")),
         _ => ServerError::Io(e),
-    })
+    }
 }
 
 /// Resolves the oldest in-flight call and encodes its ack.
@@ -666,16 +694,17 @@ fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<Vec<u8>, 
 ///
 /// # Bounded per-connection buffering
 ///
-/// `pending` never holds more than `window` in-flight calls: once the window
-/// is full the loop stops reading new frames and blocks resolving the oldest
-/// call, so executor backpressure (a full queue parking the submission)
+/// `pending` never holds more than `window` in-flight calls: a burst is at
+/// most a window of frames the transport had already buffered, and to admit
+/// it the loop first blocks resolving (and acking) the oldest calls it needs
+/// the room of, so executor backpressure (a full queue parking the submission)
 /// propagates to the transport instead of accumulating unbounded
 /// per-connection state — an open-loop client bursting frames faster than
 /// handlers drain only fills the transport's buffers, never this loop's.
 /// A peer that disconnects mid-stream (EOF or transport error) leaves at
-/// most `window` abandoned calls: their handlers still run to completion on
-/// the executor (keeping the service state consistent), but no reply is
-/// encoded for them.
+/// most `window` abandoned calls, plus the burst in hand if it was an ack
+/// that failed: their handlers still run to completion on the executor
+/// (keeping the service state consistent), but no reply is encoded for them.
 ///
 /// # Errors
 ///
@@ -725,12 +754,16 @@ pub enum Durability<'a> {
 ///
 /// The logging discipline:
 ///
-/// * event `n` is appended, then dispatched, then (window permitting) acked;
-/// * every `sync_every` events the log syncs (a durability barrier);
-/// * every `snapshot_every` events the loop flushes the service, exports its
-///   state ([`ProtocolService::snapshot_words`]) and appends a snapshot
-///   record (which itself syncs); services that cannot export downgrade the
-///   snapshot to a plain sync. The flush does **not** drain pending acks,
+/// * a burst (what the transport had already delivered; one event where it
+///   does not read ahead) is appended in order, dispatched in one
+///   [`ProtocolService::call_burst`], then (window permitting) acked; on
+///   every exit, errors included, each appended event has been dispatched;
+/// * every `sync_every` events the log syncs (a durability barrier), inside
+///   a burst too: the log bytes do not depend on burst sizes;
+/// * every `snapshot_every` events (which ends the burst) the loop flushes
+///   the service, exports its state ([`ProtocolService::snapshot_words`]) and
+///   appends a snapshot record (which itself syncs); services that cannot
+///   export downgrade it to a plain sync. The flush does **not** drain acks,
 ///   so durability never perturbs the reply cadence — reports and aggregates
 ///   stay byte-identical with and without a WAL;
 /// * an aggregate request and a clean end of stream both sync, so a politely
@@ -781,50 +814,85 @@ pub fn serve_observed(
             snapshot_every,
         } => (Some(wal), sync_every.max(1), snapshot_every.max(1)),
     };
-    let mut pending: VecDeque<TypedFuture<Reply>> = VecDeque::with_capacity(window);
-    // Decode timestamps, index-parallel to `pending`; only maintained when
-    // observability is on (stamps stay empty otherwise).
-    let mut stamps: VecDeque<Instant> = VecDeque::new();
-    let record_ack = |stamps: &mut VecDeque<Instant>| {
-        if let (Some(obs), Some(stamp)) = (obs, stamps.pop_front()) {
-            let latency = stamp.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            obs.reply(latency);
-        }
+    let mut replies = ReplyWindow {
+        pending: VecDeque::with_capacity(window),
+        stamps: VecDeque::new(),
+        obs,
+        completed: 0,
+        answered: 0,
     };
-    let mut completed = 0u64;
-    let mut answered = 0u64;
+    // The frame to handle next: one that arrived behind a burst without
+    // belonging to it, else whatever the peer sends.
+    let mut ahead: Option<Vec<u8>> = None;
     loop {
-        let Some(frame) = recv_frame(transport)? else {
+        if ahead.is_none() {
+            ahead = recv_frame(transport)?;
+        }
+        let Some(frame) = ahead.take() else {
             // Clean disconnect: abandon the in-flight replies. Dropping the
             // futures does not cancel the handlers — they run to completion
             // on the executor — so the service state stays consistent.
             if let Some(wal) = wal.as_deref_mut() {
                 wal.sync().map_err(ServerError::Io)?;
             }
-            drop(pending);
-            return Ok(answered);
+            return Ok(replies.answered);
         };
         match decode_request(&frame)? {
-            WireRequest::Event(event) => {
+            WireRequest::Event(first) => {
+                // The burst: this event plus those the transport can hand
+                // over without blocking, a window's worth at most, each logged
+                // before the next is looked at. Whatever ends it early waits
+                // in `stop` or `ahead` until the burst is dispatched: a logged
+                // event is a dispatched one on every exit.
+                let mut burst = Vec::new();
+                let mut next = Some(first);
                 let mut snapshot_due = false;
-                if let Some(wal) = wal.as_deref_mut() {
-                    let appended = wal.append_event(&event).map_err(ServerError::Io)?;
-                    snapshot_due = snapshot_every > 0 && appended % snapshot_every == 0;
-                    if !snapshot_due && appended % sync_every == 0 {
-                        wal.sync().map_err(ServerError::Io)?;
+                let mut stop = Ok(());
+                while let Some(event) = next.take() {
+                    if let Some(wal) = wal.as_deref_mut() {
+                        match wal.append_event(&event) {
+                            Ok(appended) => {
+                                snapshot_due = snapshot_every > 0 && appended % snapshot_every == 0;
+                                if !snapshot_due && appended % sync_every == 0 {
+                                    stop = wal.sync().map_err(ServerError::Io);
+                                }
+                            }
+                            Err(e) => {
+                                stop = Err(ServerError::Io(e));
+                                break;
+                            }
+                        }
+                    }
+                    if obs.is_some() {
+                        replies.stamps.push_back(Instant::now());
+                    }
+                    burst.push(event);
+                    // A snapshot exports the state as of its own event.
+                    if stop.is_err() || snapshot_due || burst.len() == window {
+                        break;
+                    }
+                    match transport.try_recv().map_err(frame_error) {
+                        Ok(Some(frame)) => match decode_request(&frame) {
+                            Ok(WireRequest::Event(event)) => next = Some(event),
+                            _ => ahead = Some(frame),
+                        },
+                        Ok(None) => {}
+                        Err(e) => stop = Err(e),
                     }
                 }
-                if obs.is_some() {
-                    stamps.push_back(Instant::now());
-                }
-                pending.push_back(service.call(event));
-                debug_assert!(pending.len() <= window, "reply window overflowed");
-                if pending.len() >= window {
-                    let fut = pending.pop_front().expect("window is non-empty");
-                    let ack = resolve_ack(fut, &mut completed)?;
-                    record_ack(&mut stamps);
-                    transport.send(&ack).map_err(ServerError::Io)?;
-                    answered += 1;
+                // Acks stay lazy: only as many as make room for the burst.
+                let room = stop.and_then(|()| {
+                    while replies.pending.len() + burst.len() > window {
+                        replies.ack_oldest(transport)?;
+                    }
+                    Ok(())
+                });
+                let dispatched = service.call_burst(burst);
+                room?;
+                replies.pending.extend(dispatched);
+                debug_assert!(replies.pending.len() <= window, "reply window overflowed");
+                if replies.pending.len() >= window {
+                    replies.ack_oldest(transport)?;
                 }
                 if snapshot_due {
                     if let Some(wal) = wal.as_deref_mut() {
@@ -839,11 +907,8 @@ pub fn serve_observed(
                 }
             }
             WireRequest::Drain => {
-                while let Some(fut) = pending.pop_front() {
-                    let ack = resolve_ack(fut, &mut completed)?;
-                    record_ack(&mut stamps);
-                    transport.send(&ack).map_err(ServerError::Io)?;
-                    answered += 1;
+                while !replies.pending.is_empty() {
+                    replies.ack_oldest(transport)?;
                 }
                 transport.flush().map_err(ServerError::Io)?;
             }
@@ -855,23 +920,45 @@ pub fn serve_observed(
                 transport.flush().map_err(ServerError::Io)?;
             }
             WireRequest::Aggregate => {
-                while let Some(fut) = pending.pop_front() {
-                    let ack = resolve_ack(fut, &mut completed)?;
-                    record_ack(&mut stamps);
-                    transport.send(&ack).map_err(ServerError::Io)?;
-                    answered += 1;
+                while !replies.pending.is_empty() {
+                    replies.ack_oldest(transport)?;
                 }
                 service.flush();
                 if let Some(wal) = wal.as_deref_mut() {
                     wal.sync().map_err(ServerError::Io)?;
                 }
-                let agg = service.aggregate(completed);
+                let agg = service.aggregate(replies.completed);
                 transport
                     .send(&encode_aggregate_reply(&agg))
                     .map_err(ServerError::Io)?;
                 transport.flush().map_err(ServerError::Io)?;
             }
         }
+    }
+}
+
+/// The in-flight calls of one [`serve_observed`] connection, oldest first.
+struct ReplyWindow<'a> {
+    pending: VecDeque<TypedFuture<Reply>>,
+    /// Decode timestamps, index-parallel to `pending`; empty unless `obs`.
+    stamps: VecDeque<Instant>,
+    obs: Option<&'a ConnObs>,
+    completed: u64,
+    answered: u64,
+}
+
+impl ReplyWindow<'_> {
+    /// Resolves the oldest in-flight call and sends its ack.
+    fn ack_oldest(&mut self, transport: &mut dyn Transport) -> Result<(), ServerError> {
+        let fut = self.pending.pop_front().expect("window is non-empty");
+        let ack = resolve_ack(fut, &mut self.completed)?;
+        if let (Some(obs), Some(stamp)) = (self.obs, self.stamps.pop_front()) {
+            let latency = stamp.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            obs.reply(latency);
+        }
+        transport.send(&ack).map_err(ServerError::Io)?;
+        self.answered += 1;
+        Ok(())
     }
 }
 

@@ -11,8 +11,9 @@
 //! * [`loopback_pair`] — an in-process pair of connected endpoints backed by
 //!   unbounded channels, for tests and for running client and server in one
 //!   process without sockets;
-//! * [`TcpTransport`] — a framed [`std::net::TcpStream`], the real network
-//!   path (`examples/protocol_server.rs --transport tcp`).
+//! * [`TcpTransport`] — a framed [`std::net::TcpStream`] (a [`FramedStream`]
+//!   over its two halves), the real network path
+//!   (`examples/protocol_server.rs --transport tcp`).
 //!
 //! Both implement [`Transport`], so the server loop and client driver are
 //! written once against the trait.
@@ -357,6 +358,18 @@ pub trait Transport: Send {
     /// Any I/O failure of the underlying stream, including a mid-frame EOF.
     fn recv(&mut self) -> io::Result<Option<Vec<u8>>>;
 
+    /// The next frame if it can be had without blocking, else `Ok(None)`
+    /// (which does not mean the stream ended). The default never has one:
+    /// only a transport that reads ahead ([`FramedStream`]) knows what has
+    /// already arrived, which is what the serve loop batches.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv`](Self::recv).
+    fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+        Ok(None)
+    }
+
     /// Flushes buffered frames to the peer.
     ///
     /// # Errors
@@ -399,15 +412,42 @@ impl Transport for LoopbackTransport {
     }
 }
 
-/// A framed TCP stream: the transport used by the real protocol server.
+/// Buffered frame codec over the two halves of a byte stream; over a socket
+/// it is [`TcpTransport`].
 ///
-/// Reads and writes are buffered; [`Transport::flush`] must be called after
-/// the last frame of a burst that expects a response (the server loop and
-/// client driver both do).
+/// **The flush rule.** Sent frames collect in the write buffer and leave, as
+/// one write, when this side is about to block: [`recv`](Transport::recv)
+/// flushes first unless the read buffer already holds a *whole* frame (prefix
+/// and full payload), which it can return without waiting on the peer. A
+/// buffered *partial* frame does not count — the peer may be holding back
+/// its remainder for what is still unflushed here (window 1 would deadlock).
+/// No timer, no threshold: a batch is what the peer's last delivery allowed.
+/// [`flush`](Transport::flush) is for blocking on anything other than `recv`.
 #[derive(Debug)]
-pub struct TcpTransport {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+pub struct FramedStream<R: Read, W: Write> {
+    reader: BufReader<R>,
+    writer: BufWriter<W>,
+}
+
+/// A framed TCP stream: the transport used by the real protocol server.
+pub type TcpTransport = FramedStream<TcpStream, TcpStream>;
+
+impl<R: Read, W: Write> FramedStream<R, W> {
+    /// Wraps the two directions of a byte stream in buffered framed halves.
+    pub fn from_halves(reader: R, writer: W) -> Self {
+        Self {
+            reader: BufReader::new(reader),
+            writer: BufWriter::new(writer),
+        }
+    }
+
+    /// Whether the read buffer holds a whole frame, so that reading it
+    /// touches no stream.
+    fn frame_buffered(&self) -> bool {
+        let buf = self.reader.buffer();
+        buf.first_chunk::<4>()
+            .is_some_and(|len| buf.len() - 4 >= u32::from_le_bytes(*len) as usize)
+    }
 }
 
 impl TcpTransport {
@@ -418,23 +458,28 @@ impl TcpTransport {
     /// Fails if the stream cannot be cloned for the second direction.
     pub fn new(stream: TcpStream) -> io::Result<Self> {
         let write_half = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-        })
+        Ok(Self::from_halves(stream, write_half))
     }
 }
 
-impl Transport for TcpTransport {
+impl<R: Read + Send, W: Write + Send> Transport for FramedStream<R, W> {
     fn send(&mut self, payload: &[u8]) -> io::Result<()> {
         write_frame(&mut self.writer, payload)
     }
 
     fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
-        // Everything buffered for writing must be on the wire before this
-        // side blocks waiting for the peer's answer.
-        self.writer.flush()?;
+        if !self.frame_buffered() {
+            self.writer.flush()?;
+        }
         read_frame(&mut self.reader)
+    }
+
+    fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+        if self.frame_buffered() {
+            read_frame(&mut self.reader)
+        } else {
+            Ok(None)
+        }
     }
 
     fn flush(&mut self) -> io::Result<()> {
