@@ -5,10 +5,11 @@
 //!
 //! * **Completion slots** ([`CompletionHandle`] / [`attach`]): a per-job slot
 //!   that is resolved exactly once with a [`JobStatus`] when the job finishes
-//!   (or is dropped). Waiters can block ([`CompletionHandle::wait`]), poll a
-//!   registered [`Waker`] (the handle is a [`Future`]), or register a
-//!   callback ([`CompletionHandle::on_complete`]) — all targeted wakeups, no
-//!   broadcast herd.
+//!   (or is dropped). Waiters can block ([`CompletionHandle::wait`]) or poll a
+//!   registered [`Waker`] (the handle is a [`Future`]) — both targeted
+//!   wakeups, no broadcast herd. A worker resolves a slot with one CAS and one
+//!   load: it takes the slot's lock and notifies only if a waiter announced
+//!   itself in the slot's `watched` flag.
 //! * **Submission waiters** ([`SubmitWaiter`]): the backpressure primitive of
 //!   bounded executors. When a bounded queue is full, the executor parks the
 //!   submission (key + job + waiter) in a FIFO overflow list; when a slot
@@ -25,15 +26,19 @@
 //! no async runtime.
 //!
 //! On top of the untyped slots, [`attach_returning`] wraps a *value-returning*
-//! closure so its result travels back to the submitter through a typed cell:
-//! [`TypedHandle`] (blocking) and [`TypedFuture`] (async) resolve to
-//! `Result<R, JobError>`, with handler panics and shutdown-dropped jobs
-//! surfaced as [`JobError::Panicked`] / [`JobError::Aborted`] instead of a
-//! bare status the caller has to re-interpret. Both carry `map`-style
-//! adapters, so reply post-processing composes without re-submitting.
+//! closure so its result travels back to the submitter through a typed cell
+//! inside the slot's own allocation: [`TypedHandle`] (blocking) and
+//! [`TypedFuture`] (async) resolve to `Result<R, JobError>`, with handler
+//! panics and shutdown-dropped jobs surfaced as [`JobError::Panicked`] /
+//! [`JobError::Aborted`] instead of a bare status the caller has to
+//! re-interpret. Both carry `map`-style adapters, so reply post-processing
+//! composes without re-submitting.
 
+use std::any::Any;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU8};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
@@ -63,93 +68,124 @@ impl JobStatus {
     pub fn is_done(&self) -> bool {
         matches!(self, JobStatus::Done)
     }
+
+    fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => None,
+            1 => Some(Self::Done),
+            2 => Some(Self::Panicked),
+            _ => Some(Self::Aborted),
+        }
+    }
 }
 
-/// Callback registered on a completion slot.
-type Callback = Box<dyn FnOnce(JobStatus) + Send + 'static>;
-
-struct SlotState {
-    status: Option<JobStatus>,
-    started: bool,
+/// The waiters of one slot, behind its lock.
+#[derive(Default)]
+struct Waiters {
+    /// The waker of the task that polled the slot last.
     waker: Option<Waker>,
-    callbacks: Vec<Callback>,
+    /// Whether a thread is blocked in [`CompletionHandle::wait`].
+    blocked: bool,
 }
 
 /// One per-job completion slot: resolved exactly once, observed by any number
-/// of blocking waiters, one registered waker, and any number of callbacks.
-struct Slot {
-    state: Mutex<SlotState>,
+/// of blocking waiters and one registered waker. `cell` is the result cell of
+/// a value-returning job (`()` for [`attach`]), so the slot and the value
+/// share one allocation.
+struct Slot<C: ?Sized> {
+    /// `0` until the first resolution lands as its discriminant plus one.
+    status: AtomicU8,
+    /// Raised under `waiters` by a waiter before its last look at `status`.
+    watched: AtomicBool,
+    waiters: Mutex<Waiters>,
     cv: Condvar,
+    cell: C,
 }
 
-impl Slot {
-    fn new() -> Arc<Self> {
+/// A slot with its result cell's type erased, as [`CompletionHandle`] holds it.
+type DynSlot = Slot<dyn Any + Send + Sync>;
+
+impl<C> Slot<C> {
+    fn new(cell: C) -> Arc<Self> {
         Arc::new(Self {
-            state: Mutex::new(SlotState {
-                status: None,
-                started: false,
-                waker: None,
-                callbacks: Vec::new(),
-            }),
+            status: AtomicU8::new(0),
+            watched: AtomicBool::new(false),
+            waiters: Mutex::default(),
             cv: Condvar::new(),
+            cell,
         })
     }
+}
 
-    /// Resolves the slot (first resolution wins) and fires every registered
-    /// notification mechanism: the condvar for blocking waiters, the waker
-    /// for a polling future, and the callbacks.
+impl<C: ?Sized> Slot<C> {
+    fn status(&self) -> Option<JobStatus> {
+        JobStatus::from_code(self.status.load(Acquire))
+    }
+
+    /// Resolves the slot (first resolution wins). Unless a waiter raised
+    /// `watched`, that is all: no lock, no notify, no system call.
     fn resolve(&self, status: JobStatus) {
-        let (waker, callbacks) = {
-            let mut st = self.state.lock();
-            if st.status.is_some() {
-                return;
-            }
-            st.status = Some(status);
-            (st.waker.take(), std::mem::take(&mut st.callbacks))
+        if self
+            .status
+            .compare_exchange(0, status as u8 + 1, SeqCst, Relaxed)
+            .is_err()
+        {
+            return;
+        }
+        // Store→load against `watch`: either the waiter's last look sees the
+        // status, or this load sees its flag (ARCHITECTURE.md, "Completion
+        // slots").
+        if !self.watched.load(SeqCst) {
+            return;
+        }
+        let (waker, blocked) = {
+            let mut waiters = self.waiters.lock();
+            (waiters.waker.take(), waiters.blocked)
         };
-        self.cv.notify_all();
-        if let Some(w) = waker {
-            w.wake();
+        if blocked {
+            self.cv.notify_all();
         }
-        for cb in callbacks {
-            // Contain callback panics: resolve() runs on the worker thread
-            // (sometimes from a Drop during unwinding, where a second panic
-            // would abort the process), and a user callback must not corrupt
-            // the executor's executed/panicked accounting for a job that
-            // already finished.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(status)));
+        if let Some(waker) = waker {
+            waker.wake();
         }
+    }
+
+    /// Announces a waiter and takes its last look at the status. The caller
+    /// holds `waiters` and has registered itself there.
+    fn watch(&self) -> Option<JobStatus> {
+        self.watched.store(true, SeqCst);
+        JobStatus::from_code(self.status.load(SeqCst))
     }
 }
 
 /// The worker-side half of a completion slot, embedded in the wrapped job by
-/// [`attach`]. Dropping the notifier without [`finish`](Self::finish) resolves
-/// the slot as [`JobStatus::Panicked`] (if the job had started — the drop is
-/// happening during unwinding) or [`JobStatus::Aborted`] (the job was
-/// discarded without running).
-struct CompletionNotifier {
-    slot: Arc<Slot>,
+/// [`attach`]. The slot resolves when the notifier drops, with `outcome`:
+/// [`JobStatus::Aborted`] if the job was discarded without running,
+/// [`JobStatus::Panicked`] once it started (a drop mid-run is unwinding), and
+/// [`JobStatus::Done`] once it returned.
+struct CompletionNotifier<C: ?Sized> {
+    slot: Arc<Slot<C>>,
+    outcome: JobStatus,
 }
 
-impl CompletionNotifier {
-    fn start(&self) {
-        self.slot.state.lock().started = true;
+impl<C: ?Sized> CompletionNotifier<C> {
+    fn new(slot: Arc<Slot<C>>) -> Self {
+        let outcome = JobStatus::Aborted;
+        Self { slot, outcome }
     }
 
-    fn finish(self) {
-        self.slot.resolve(JobStatus::Done);
-        // Drop runs next but resolve() is first-wins, so Done sticks.
+    fn start(&mut self) {
+        self.outcome = JobStatus::Panicked;
+    }
+
+    fn finish(&mut self) {
+        self.outcome = JobStatus::Done;
     }
 }
 
-impl Drop for CompletionNotifier {
+impl<C: ?Sized> Drop for CompletionNotifier<C> {
     fn drop(&mut self) {
-        let started = self.slot.state.lock().started;
-        self.slot.resolve(if started {
-            JobStatus::Panicked
-        } else {
-            JobStatus::Aborted
-        });
+        self.slot.resolve(self.outcome);
     }
 }
 
@@ -161,7 +197,7 @@ impl Drop for CompletionNotifier {
 /// an abandoned handle can never deadlock a worker.
 #[must_use = "a dropped CompletionHandle silently discards the job's outcome; call wait()/status() or drop it explicitly"]
 pub struct CompletionHandle {
-    slot: Arc<Slot>,
+    slot: Arc<DynSlot>,
 }
 
 impl std::fmt::Debug for CompletionHandle {
@@ -175,40 +211,22 @@ impl std::fmt::Debug for CompletionHandle {
 impl CompletionHandle {
     /// The job's status, if it has finished.
     pub fn status(&self) -> Option<JobStatus> {
-        self.slot.state.lock().status
+        self.slot.status()
     }
 
     /// Blocks the calling thread until the job finishes.
     pub fn wait(&self) -> JobStatus {
-        let mut st = self.slot.state.lock();
+        if let Some(status) = self.status() {
+            return status;
+        }
+        let mut waiters = self.slot.waiters.lock();
+        waiters.blocked = true;
         loop {
-            if let Some(status) = st.status {
+            if let Some(status) = self.slot.watch() {
                 return status;
             }
-            self.slot.cv.wait_for(&mut st, PARK_BACKSTOP);
+            self.slot.cv.wait_for(&mut waiters, PARK_BACKSTOP);
         }
-    }
-
-    /// Registers a callback fired exactly once when the job finishes. If the
-    /// job has already finished, the callback runs immediately on the calling
-    /// thread; otherwise it runs on the worker thread that resolves the slot,
-    /// where a panic inside the callback is contained (it neither perturbs
-    /// the executor's panic accounting nor aborts the process).
-    pub fn on_complete<F>(&self, callback: F)
-    where
-        F: FnOnce(JobStatus) + Send + 'static,
-    {
-        let status = {
-            let mut st = self.slot.state.lock();
-            match st.status {
-                Some(status) => status,
-                None => {
-                    st.callbacks.push(Box::new(callback));
-                    return;
-                }
-            }
-        };
-        callback(status);
     }
 }
 
@@ -216,12 +234,15 @@ impl Future for CompletionHandle {
     type Output = JobStatus;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.slot.state.lock();
-        if let Some(status) = st.status {
+        if let Some(status) = self.status() {
             return Poll::Ready(status);
         }
-        st.waker = Some(cx.waker().clone());
-        Poll::Pending
+        let mut waiters = self.slot.waiters.lock();
+        waiters.waker = Some(cx.waker().clone());
+        match self.slot.watch() {
+            Some(status) => Poll::Ready(status),
+            None => Poll::Pending,
+        }
     }
 }
 
@@ -232,17 +253,14 @@ impl Future for CompletionHandle {
 /// runs or drops the job resolves the slot, so no executor needs bespoke
 /// completion plumbing.
 pub fn attach(job: Job) -> (Job, CompletionHandle) {
-    let slot = Slot::new();
-    let handle = CompletionHandle {
-        slot: Arc::clone(&slot),
-    };
-    let notifier = CompletionNotifier { slot };
+    let slot = Slot::new(());
+    let mut notifier = CompletionNotifier::new(Arc::clone(&slot));
     let wrapped: Job = Box::new(move || {
         notifier.start();
         job();
         notifier.finish();
     });
-    (wrapped, handle)
+    (wrapped, CompletionHandle { slot })
 }
 
 /// Why a value-returning job produced no value.
@@ -282,45 +300,60 @@ fn status_to_error(status: JobStatus) -> JobError {
     }
 }
 
-/// The deferred "take the result out of the cell" step of a typed handle.
-/// `map` composes onto this closure, so adapters cost one allocation at
-/// `map` time and nothing per poll.
-type TakeFn<R> = Box<dyn FnOnce() -> R + Send>;
+/// The result cell [`attach_returning`] puts in the slot.
+type ResultCell<R> = Mutex<Option<R>>;
+
+/// The adapters a typed handle's `map` calls composed, applied to the raw
+/// value when it is taken. `None` (no `map`) costs no allocation.
+type MapFn<R> = Option<Box<dyn FnOnce(&DynSlot) -> R + Send>>;
+
+/// Takes the value out of a [`JobStatus::Done`] slot, through `map`.
+fn take_value<R: 'static>(slot: &DynSlot, map: MapFn<R>) -> R {
+    match map {
+        Some(map) => map(slot),
+        None => slot
+            .cell
+            .downcast_ref::<ResultCell<R>>()
+            .and_then(|cell| cell.lock().take())
+            .expect("a Done slot always has its result cell filled"),
+    }
+}
+
+/// Composes `f` onto `map`; it runs on the thread that takes the value.
+fn compose<R, U, F>(map: MapFn<R>, f: F) -> MapFn<U>
+where
+    R: Send + 'static,
+    F: FnOnce(R) -> U + Send + 'static,
+{
+    Some(Box::new(move |slot| f(take_value(slot, map))))
+}
 
 /// Wraps a value-returning closure so its result travels through a typed
-/// cell next to the completion slot. Returns the untyped [`Job`] (submittable
+/// cell inside the completion slot. Returns the untyped [`Job`] (submittable
 /// to any executor) plus the [`TypedHandle`] that yields the value.
 ///
-/// The wrapping nests [`attach`]: the completion slot still resolves exactly
-/// once whether the job runs, panics, or is dropped, and the result cell is
-/// filled if and only if the slot resolves [`JobStatus::Done`].
+/// Two allocations in all, the slot and the job: the completion slot still
+/// resolves exactly once whether the job runs, panics, or is dropped, and
+/// the result cell is filled if and only if it resolves [`JobStatus::Done`].
 pub fn attach_returning<R, F>(f: F) -> (Job, TypedHandle<R>)
 where
     R: Send + 'static,
     F: FnOnce() -> R + Send + 'static,
 {
-    let cell: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-    let write = Arc::clone(&cell);
-    let (job, handle) = attach(Box::new(move || {
+    let slot = Slot::new(ResultCell::<R>::new(None));
+    let mut notifier = CompletionNotifier::new(Arc::clone(&slot));
+    let job: Job = Box::new(move || {
+        notifier.start();
         let value = f();
-        *write.lock() = Some(value);
-    }));
-    let take: TakeFn<R> = Box::new(move || {
-        cell.lock()
-            .take()
-            .expect("a Done slot always has its result cell filled")
+        *notifier.slot.cell.lock() = Some(value);
+        notifier.finish();
     });
-    (
-        job,
-        TypedHandle {
-            handle,
-            take: Some(take),
-        },
-    )
+    let handle = CompletionHandle { slot };
+    (job, TypedHandle { handle, map: None })
 }
 
 /// The submitter-side half of a *value-returning* job: a [`CompletionHandle`]
-/// plus the typed result cell the wrapped closure fills.
+/// whose slot carries the typed result cell the wrapped closure fills.
 ///
 /// Obtained from [`attach_returning`] or
 /// [`ExecutorExt::submit_returning`](super::ExecutorExt::submit_returning).
@@ -329,7 +362,7 @@ where
 #[must_use = "a dropped TypedHandle silently discards the job's result; call wait() or drop it explicitly"]
 pub struct TypedHandle<R> {
     handle: CompletionHandle,
-    take: Option<TakeFn<R>>,
+    map: MapFn<R>,
 }
 
 impl<R> std::fmt::Debug for TypedHandle<R> {
@@ -353,9 +386,9 @@ impl<R: Send + 'static> TypedHandle<R> {
 
     /// Blocks the calling thread until the job finishes, then returns its
     /// value — or the typed error explaining why there is none.
-    pub fn wait(mut self) -> Result<R, JobError> {
+    pub fn wait(self) -> Result<R, JobError> {
         match self.handle.wait() {
-            JobStatus::Done => Ok((self.take.take().expect("take runs once"))()),
+            JobStatus::Done => Ok(take_value(&self.handle.slot, self.map)),
             status => Err(status_to_error(status)),
         }
     }
@@ -363,18 +396,14 @@ impl<R: Send + 'static> TypedHandle<R> {
     /// Returns a handle yielding `f(result)` instead of the raw result. The
     /// transform runs lazily on the *waiting* thread when the value is taken,
     /// never on the worker.
-    pub fn map<U, F>(mut self, f: F) -> TypedHandle<U>
+    pub fn map<U, F>(self, f: F) -> TypedHandle<U>
     where
         U: Send + 'static,
         F: FnOnce(R) -> U + Send + 'static,
     {
-        let take = self.take.take().expect("take runs once");
-        TypedHandle {
-            handle: CompletionHandle {
-                slot: Arc::clone(&self.handle.slot),
-            },
-            take: Some(Box::new(move || f(take()))),
-        }
+        let TypedHandle { handle, map } = self;
+        let map = compose(map, f);
+        TypedHandle { handle, map }
     }
 }
 
@@ -391,7 +420,7 @@ impl<R: Send + 'static> TypedHandle<R> {
 #[must_use = "futures do nothing unless polled; the job's result is silently discarded otherwise"]
 pub struct TypedFuture<R> {
     inner: SubmitFuture,
-    take: Option<TakeFn<R>>,
+    map: MapFn<R>,
 }
 
 impl<R> std::fmt::Debug for TypedFuture<R> {
@@ -403,12 +432,10 @@ impl<R> std::fmt::Debug for TypedFuture<R> {
 }
 
 impl<R: Send + 'static> TypedFuture<R> {
-    pub(super) fn new(waiter: Arc<SubmitWaiter>, handle: TypedHandle<R>) -> Self {
-        let TypedHandle { handle, take } = handle;
-        Self {
-            inner: SubmitFuture::new(waiter, handle),
-            take,
-        }
+    pub(super) fn new(waiter: Option<Arc<SubmitWaiter>>, handle: TypedHandle<R>) -> Self {
+        let TypedHandle { handle, map } = handle;
+        let inner = SubmitFuture::new(waiter, handle);
+        Self { inner, map }
     }
 
     /// The untyped completion handle of the submitted job.
@@ -418,16 +445,14 @@ impl<R: Send + 'static> TypedFuture<R> {
 
     /// Returns a future resolving to `f(result)` instead of the raw result.
     /// The transform runs on the polling task, never on the worker.
-    pub fn map<U, F>(mut self, f: F) -> TypedFuture<U>
+    pub fn map<U, F>(self, f: F) -> TypedFuture<U>
     where
         U: Send + 'static,
         F: FnOnce(R) -> U + Send + 'static,
     {
-        let take = self.take.take().expect("take runs once");
-        TypedFuture {
-            inner: self.inner,
-            take: Some(Box::new(move || f(take()))),
-        }
+        let TypedFuture { inner, map } = self;
+        let map = compose(map, f);
+        TypedFuture { inner, map }
     }
 
     /// Drives the future to completion on the calling thread (convenience
@@ -441,10 +466,8 @@ impl<R: Send + 'static> TypedFuture<R> {
 /// [`SubmitBatch`](super::SubmitBatch) entry from [`attach_returning`]): it
 /// awaits no admission, only the job — [`JobError::Aborted`] if it is dropped.
 impl<R: Send + 'static> From<TypedHandle<R>> for TypedFuture<R> {
-    fn from(TypedHandle { handle, take }: TypedHandle<R>) -> Self {
-        let waiter = None;
-        let inner = SubmitFuture { waiter, handle };
-        Self { inner, take }
+    fn from(handle: TypedHandle<R>) -> Self {
+        Self::new(None, handle)
     }
 }
 
@@ -456,7 +479,8 @@ impl<R: Send + 'static> Future for TypedFuture<R> {
         match Pin::new(&mut this.inner).poll(cx) {
             Poll::Pending => Poll::Pending,
             Poll::Ready(Ok(JobStatus::Done)) => {
-                Poll::Ready(Ok((this.take.take().expect("polled after Ready"))()))
+                let slot = &this.inner.handle.slot;
+                Poll::Ready(Ok(take_value(slot, this.map.take())))
             }
             Poll::Ready(Ok(status)) => Poll::Ready(Err(status_to_error(status))),
             Poll::Ready(Err(shutdown)) => Poll::Ready(Err(shutdown.into())),
@@ -584,11 +608,8 @@ pub struct SubmitFuture {
 }
 
 impl SubmitFuture {
-    pub(super) fn new(waiter: Arc<SubmitWaiter>, handle: CompletionHandle) -> Self {
-        Self {
-            waiter: Some(waiter),
-            handle,
-        }
+    pub(super) fn new(waiter: Option<Arc<SubmitWaiter>>, handle: CompletionHandle) -> Self {
+        Self { waiter, handle }
     }
 
     /// The completion handle of the submitted job.
@@ -621,27 +642,33 @@ impl Wake for ThreadWaker {
     }
 }
 
+thread_local! {
+    /// The waker of every [`block_on`] on this thread, built on first use.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+}
+
 /// Drives a single future to completion on the calling thread.
 ///
 /// A dependency-free `block_on` for programs and tests that have no async
-/// runtime: the waker unparks this thread, and a parked wait re-checks on the
-/// usual defensive backstop.
+/// runtime: the waker (one per thread, reused by every call) unparks this
+/// thread, and a parked wait re-checks on the usual defensive backstop.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut future = std::pin::pin!(future);
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(value) => return value,
-            Poll::Pending => std::thread::park_timeout(PARK_BACKSTOP),
+    THREAD_WAKER.with(|waker| {
+        let mut cx = Context::from_waker(waker);
+        let mut future = std::pin::pin!(future);
+        loop {
+            match future.as_mut().poll(&mut cx) {
+                Poll::Ready(value) => return value,
+                Poll::Pending => std::thread::park_timeout(PARK_BACKSTOP),
+            }
         }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[test]
@@ -671,38 +698,21 @@ mod tests {
     }
 
     #[test]
-    fn callbacks_fire_once_on_completion() {
-        let fired = Arc::new(AtomicU64::new(0));
+    fn unwatched_resolve_takes_no_lock() {
+        // Nobody waits on the slot, so the worker must resolve it without
+        // touching the waiters' lock (held here the whole time).
         let (job, handle) = attach(Box::new(|| {}));
-        let f = Arc::clone(&fired);
-        handle.on_complete(move |status| {
-            assert_eq!(status, JobStatus::Done);
-            f.fetch_add(1, Ordering::SeqCst);
+        let held = handle.slot.waiters.lock();
+        let (done, resolved) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            job();
+            done.send(()).unwrap();
         });
-        job();
-        // A callback registered after completion runs immediately.
-        let f = Arc::clone(&fired);
-        handle.on_complete(move |_| {
-            f.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn panicking_callback_is_contained() {
-        let fired = Arc::new(AtomicU64::new(0));
-        let (job, handle) = attach(Box::new(|| {}));
-        handle.on_complete(|_| panic!("callback failure"));
-        let f = Arc::clone(&fired);
-        handle.on_complete(move |_| {
-            f.fetch_add(1, Ordering::SeqCst);
-        });
-        // The wrapped job resolves the slot; the panicking callback must not
-        // escape into the job (the executor would miscount it as a handler
-        // panic) and must not stop later callbacks.
-        job();
+        let returned = resolved.recv_timeout(Duration::from_secs(1)).is_ok();
+        drop(held);
+        worker.join().unwrap();
+        assert!(returned, "an unwatched resolve blocked on the slot lock");
         assert_eq!(handle.status(), Some(JobStatus::Done));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -771,11 +781,11 @@ mod tests {
     fn typed_future_resolves_with_the_value() {
         let (job, handle) = attach_returning(|| vec![1u8, 2, 3]);
         let fut = TypedFuture::new(
-            {
+            Some({
                 let w = SubmitWaiter::new();
                 w.admit();
                 w
-            },
+            }),
             handle,
         );
         let fut = fut.map(|v| v.len());
@@ -792,7 +802,7 @@ mod tests {
         let (job, handle) = attach_returning(|| 1u8);
         let w = SubmitWaiter::new();
         w.abort();
-        let fut = TypedFuture::new(w, handle);
+        let fut = TypedFuture::new(Some(w), handle);
         assert_eq!(fut.wait(), Err(JobError::Aborted));
         drop(job);
     }

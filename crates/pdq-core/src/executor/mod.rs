@@ -27,7 +27,7 @@
 //! every consumer that goes through the trait picks it up unchanged.
 //!
 //! The [`completion`] module provides the notification layer shared by all
-//! executors: per-job completion slots (blocking waits, futures, callbacks),
+//! executors: per-job completion slots (blocking waits and futures),
 //! the FIFO submission waiters behind bounded-queue backpressure, and the
 //! typed result cells behind [`ExecutorExt::submit_returning`] /
 //! [`ExecutorExt::submit_async_returning`] ([`TypedHandle`] /
@@ -515,9 +515,7 @@ pub trait ExecutorExt: Executor {
         F: FnOnce() + Send + 'static,
     {
         let (job, handle) = completion::attach(Box::new(f));
-        let waiter = SubmitWaiter::new();
-        self.submit_queued(key, job, Arc::clone(&waiter));
-        SubmitFuture::new(waiter, handle)
+        SubmitFuture::new(submit_or_park(self, key, job), handle)
     }
 
     /// Submits a *value-returning* closure and returns a [`TypedHandle`]
@@ -553,9 +551,7 @@ pub trait ExecutorExt: Executor {
         F: FnOnce() -> R + Send + 'static,
     {
         let (job, handle) = completion::attach_returning(f);
-        let waiter = SubmitWaiter::new();
-        self.submit_queued(key, job, Arc::clone(&waiter));
-        TypedFuture::new(waiter, handle)
+        TypedFuture::new(submit_or_park(self, key, job), handle)
     }
 
     /// Submits every job in `batch`, blocking while a bounded queue is at
@@ -592,6 +588,22 @@ pub trait ExecutorExt: Executor {
 }
 
 impl<E: Executor + ?Sized> ExecutorExt for E {}
+
+/// The async form of [`Executor::submit`]: returns the waiter to await, if
+/// `job` was not admitted on the spot (aborted at once after shutdown).
+fn submit_or_park<E: Executor + ?Sized>(
+    executor: &E,
+    key: SyncKey,
+    job: Job,
+) -> Option<Arc<SubmitWaiter>> {
+    let refused = executor.try_submit(key, job).err()?;
+    let waiter = SubmitWaiter::new();
+    match refused {
+        TrySubmitError::WouldBlock(job) => executor.submit_queued(key, job, Arc::clone(&waiter)),
+        TrySubmitError::Shutdown(_) => waiter.abort(),
+    }
+    Some(waiter)
+}
 
 /// Registry names of the built-in executors, in the order benchmarks report
 /// them. [`build_executor`] accepts exactly these names; a new executor is

@@ -548,12 +548,9 @@ pub fn decode_request(frame: &[u8]) -> Result<WireRequest, ServerError> {
     Ok(decoded)
 }
 
-pub(crate) fn encode_ack(ack: Ack) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(11);
-    buf.push(REP_ACK);
-    buf.push(ack.status);
-    buf.push(ack.reply.class);
-    put_u64(&mut buf, ack.reply.digest);
+pub(crate) fn encode_ack(ack: Ack) -> [u8; 11] {
+    let mut buf = [REP_ACK, ack.status, ack.reply.class, 0, 0, 0, 0, 0, 0, 0, 0];
+    buf[3..].copy_from_slice(&ack.reply.digest.to_le_bytes());
     buf
 }
 
@@ -663,7 +660,7 @@ fn frame_error(e: std::io::Error) -> ServerError {
 }
 
 /// Resolves the oldest in-flight call and encodes its ack.
-fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<Vec<u8>, ServerError> {
+fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<[u8; 11], ServerError> {
     match fut.wait() {
         Ok(reply) => {
             *completed += 1;
