@@ -37,7 +37,7 @@
 //! | `recover`    | injected close kills a WAL-logged server, then a seeded torn cut | recovery replays an exact prefix, never behind a sync point; snapshot+suffix replay equals full-log replay |
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,10 +47,11 @@ use pdq_dsm::{BlockAddr, Message, PageAddr, ProtocolEvent, Request};
 use pdq_sim::DetRng;
 
 use crate::protocol_server::{reference_aggregate, ServerAggregate, ServerError, ServerState};
+use crate::server::{serve_pool, PoolOptions, PoolReport};
 use crate::service::{
     decode_ack, decode_aggregate_reply, decode_request, encode_aggregate_request,
-    encode_event_request, recv_frame, serve, serve_durable, serve_tcp_once, Durability,
-    ProtocolService, Reply, WireRequest, ACK_DONE, ACK_PANICKED,
+    encode_event_request, read_ack, recv_frame, serve, serve_observed, Durability, ProtocolService,
+    Reply, WireRequest, ACK_DONE,
 };
 use crate::transport::{loopback_pair, Transport, MAX_FRAME_LEN};
 use crate::wal::{replay, scan_bytes, scan_bytes_full, SharedSink, WalFaultPlan, WalWriter};
@@ -694,61 +695,29 @@ impl ChaosReport {
     }
 }
 
-/// What the client expects the in-order ack for one event to say.
-#[derive(Debug, Clone, Copy)]
-enum Expect {
-    /// `ACK_DONE` carrying exactly this reply.
-    Done(Reply),
-    /// `ACK_PANICKED` (the event was poisoned).
-    Panic,
-}
-
-impl Expect {
-    fn for_event(event: &ProtocolEvent, poisoned: bool) -> Self {
-        if poisoned {
-            Expect::Panic
-        } else {
-            Expect::Done(Reply::for_event(event))
-        }
-    }
-}
-
-/// Reads and verifies one in-order ack against the front of `queue`.
+/// Reads and verifies one in-order ack against the front of `queue`: the
+/// reply the event owes, or `None` where its handler must have panicked.
 fn read_expected_ack(
     transport: &mut dyn Transport,
-    queue: &mut VecDeque<Expect>,
+    queue: &mut VecDeque<Option<Reply>>,
     panicked: &mut u64,
 ) -> Result<(), ServerError> {
-    let frame = recv_frame(transport)?
-        .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-    let ack = decode_ack(&frame)?;
     let want = queue
         .pop_front()
         .expect("an ack is only awaited for an outstanding request");
-    match (ack.status, want) {
-        (ACK_DONE, Expect::Done(reply)) if ack.reply == reply => Ok(()),
-        (ACK_PANICKED, Expect::Panic) => {
-            *panicked += 1;
-            Ok(())
-        }
-        (status, want) => Err(ServerError::Protocol(format!(
-            "ack mismatch: status {status}, reply {:?}, expected {want:?}",
-            ack.reply
-        ))),
-    }
+    *panicked += u64::from(read_ack(transport, want, false)?);
+    Ok(())
 }
 
 /// Requests and decodes the aggregate (any outstanding acks must have been
 /// drained by the caller or be drained here via `queue`).
 fn fetch_aggregate(
     transport: &mut dyn Transport,
-    queue: &mut VecDeque<Expect>,
+    queue: &mut VecDeque<Option<Reply>>,
     panicked: &mut u64,
 ) -> Result<ServerAggregate, ServerError> {
-    transport
-        .send(&encode_aggregate_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
+    transport.send(&encode_aggregate_request())?;
+    transport.flush()?;
     while !queue.is_empty() {
         read_expected_ack(transport, queue, panicked)?;
     }
@@ -757,33 +726,56 @@ fn fetch_aggregate(
     decode_aggregate_reply(&frame)
 }
 
-/// Streams `events` with a sliding window of unanswered requests, verifying
-/// every ack, then fetches the aggregate. `poison[i]` marks events whose ack
-/// must be `ACK_PANICKED`. The client window is sized off the server's so
-/// the pipeline never deadlocks.
+/// Serves a fresh loopback connection with `service` and streams `events`
+/// through it with a sliding window of unanswered requests, verifying every
+/// ack, then fetches the aggregate. `poison[i]` marks events whose ack must
+/// be `ACK_PANICKED`. The client window is sized off the server's so the
+/// pipeline never deadlocks.
 fn windowed_run(
-    transport: &mut dyn Transport,
+    service: &dyn ProtocolService,
     events: &[ProtocolEvent],
     poison: &[bool],
     server_window: usize,
 ) -> Result<(ServerAggregate, u64), ServerError> {
+    let (mut transport, mut server_end) = loopback_pair();
     let client_window = server_window * 2 + 8;
-    let mut queue: VecDeque<Expect> = VecDeque::with_capacity(client_window);
+    let mut queue: VecDeque<Option<Reply>> = VecDeque::with_capacity(client_window);
     let mut panicked = 0u64;
-    for (i, event) in events.iter().enumerate() {
-        transport
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
-        queue.push_back(Expect::for_event(
-            event,
-            poison.get(i).copied().unwrap_or(false),
-        ));
-        if queue.len() >= client_window {
-            read_expected_ack(transport, &mut queue, &mut panicked)?;
-        }
-    }
-    let aggregate = fetch_aggregate(transport, &mut queue, &mut panicked)?;
+    let aggregate = std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve(service, &mut server_end, server_window));
+        let mut client = || {
+            for (i, event) in events.iter().enumerate() {
+                transport.send(&encode_event_request(event))?;
+                let poisoned = poison.get(i).copied().unwrap_or(false);
+                queue.push_back((!poisoned).then(|| Reply::for_event(event)));
+                if queue.len() >= client_window {
+                    read_expected_ack(&mut transport, &mut queue, &mut panicked)?;
+                }
+            }
+            fetch_aggregate(&mut transport, &mut queue, &mut panicked)
+        };
+        let outcome = client();
+        drop(transport);
+        server.join().expect("server thread")?;
+        outcome
+    })?;
     Ok((aggregate, panicked))
+}
+
+/// Serves one TCP connection with `service` whose peer sends `bytes` and
+/// hangs up.
+fn hostile_tcp(
+    service: &dyn ProtocolService,
+    window: usize,
+    bytes: &[u8],
+) -> Result<PoolReport, ServerError> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_pool(&listener, service, &PoolOptions::new(1, window)));
+        TcpStream::connect(addr)?.write_all(bytes)?;
+        server.join().expect("server thread")
+    })
 }
 
 /// Fails the scenario if the surviving aggregate does not equal the
@@ -840,15 +832,7 @@ pub fn run_chaos(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRepo
 fn run_zipf(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, ServerError> {
     let events = adversarial_events(cfg);
     let service = ChaosService::new(executor, cfg.blocks);
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &[], cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?
-    .0;
+    let (aggregate, _) = windowed_run(&service, &events, &[], cfg.window)?;
     let reference = reference_aggregate(events.iter(), cfg.blocks);
     expect_reference(cfg.scenario, &aggregate, &reference)?;
     Ok(ChaosReport {
@@ -875,16 +859,14 @@ fn run_burst(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, 
     let (mut client_end, mut server_end) = loopback_pair();
     let aggregate = std::thread::scope(|scope| -> Result<ServerAggregate, ServerError> {
         let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let mut queue: VecDeque<Expect> = VecDeque::new();
+        let mut queue: VecDeque<Option<Reply>> = VecDeque::new();
         let mut panicked = 0u64;
         let mut sent = 0usize;
         let mut read = 0usize;
         for chunk in events.chunks(cfg.burst.max(1)) {
             for event in chunk {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-                queue.push_back(Expect::for_event(event, false));
+                client_end.send(&encode_event_request(event))?;
+                queue.push_back(Some(Reply::for_event(event)));
             }
             sent += chunk.len();
             // Off phase: the server has been forced to ack everything beyond
@@ -1023,19 +1005,9 @@ fn run_malformed(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRepo
 
     // Phase B — raw hostile byte blobs over real TCP connections. Every one
     // must surface as a typed protocol violation, never a panic or a hang.
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
-    let addr = listener.local_addr().map_err(ServerError::Io)?;
     for (label, blob) in hostile_wire_blobs() {
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, cfg.window));
-            let mut stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-            use std::io::Write;
-            stream.write_all(&blob).map_err(ServerError::Io)?;
-            drop(stream);
-            server.join().expect("server thread")
-        });
         frames_sent += 1;
-        match outcome {
+        match hostile_tcp(&service, cfg.window, &blob) {
             Err(ServerError::Protocol(_)) => protocol_errors += 1,
             other => {
                 return Err(ServerError::Protocol(format!(
@@ -1049,15 +1021,7 @@ fn run_malformed(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRepo
     // Phase C — clean reconnect: the full event stream through a
     // well-behaved windowed client. The aggregate must account for the
     // faulted phase's decodable prefix plus this clean stream, exactly.
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &[], cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?
-    .0;
+    let (aggregate, _) = windowed_run(&service, &events, &[], cfg.window)?;
     frames_sent += events.len() as u64 + 1;
     let reference = reference_aggregate(dispatched.iter().chain(events.iter()), cfg.blocks);
     expect_reference(cfg.scenario, &aggregate, &reference)?;
@@ -1125,8 +1089,8 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
                     }
                 }
                 // The two acks that escaped before the close must still verify.
-                let mut queue: VecDeque<Expect> =
-                    flood.iter().map(|e| Expect::for_event(e, false)).collect();
+                let mut queue: VecDeque<Option<Reply>> =
+                    flood.iter().map(|e| Some(Reply::for_event(e))).collect();
                 let mut panicked = 0u64;
                 for _ in 0..close_after {
                     read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
@@ -1160,13 +1124,11 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
         let (mut client_end, mut server_end) = loopback_pair();
         let outcome = std::thread::scope(|scope| {
             let server = scope.spawn(|| serve(&service, &mut server_end, w));
-            let mut queue: VecDeque<Expect> = VecDeque::new();
+            let mut queue: VecDeque<Option<Reply>> = VecDeque::new();
             let mut panicked = 0u64;
             for event in tail {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-                queue.push_back(Expect::for_event(event, false));
+                client_end.send(&encode_event_request(event))?;
+                queue.push_back(Some(Reply::for_event(event)));
             }
             frames_sent += tail.len() as u64;
             let forced = tail.len().saturating_sub(w - 1);
@@ -1190,9 +1152,7 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
         let outcome = std::thread::scope(|scope| {
             let server = scope.spawn(|| serve(&service, &mut server_end, w));
             for event in chunk {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
+                client_end.send(&encode_event_request(event))?;
             }
             frames_sent += chunk.len() as u64;
             drop(client_end);
@@ -1207,18 +1167,8 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
     // Sub-case 4 — mid-frame TCP disconnect: two bytes of a length prefix,
     // then gone. A typed protocol violation, zero events dispatched.
     {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
-        let addr = listener.local_addr().map_err(ServerError::Io)?;
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, w));
-            let mut stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-            use std::io::Write;
-            stream.write_all(&[0x08, 0x00]).map_err(ServerError::Io)?;
-            drop(stream);
-            server.join().expect("server thread")
-        });
         frames_sent += 1;
-        match outcome {
+        match hostile_tcp(&service, w, &[0x08, 0x00]) {
             Err(ServerError::Protocol(_)) => protocol_errors += 1,
             other => {
                 return Err(ServerError::Protocol(format!(
@@ -1271,14 +1221,7 @@ fn run_panic(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, 
     let events = adversarial_events(cfg);
     let poison = poison_schedule(cfg.seed, events.len(), cfg.poison_rate);
     let service = ChaosService::new(executor, cfg.blocks).with_poison(poison.clone());
-    let (mut client_end, mut server_end) = loopback_pair();
-    let (aggregate, panicked) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &poison, cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?;
+    let (aggregate, panicked) = windowed_run(&service, &events, &poison, cfg.window)?;
     let expected_panics = poison.iter().filter(|&&p| p).count() as u64;
     if panicked != expected_panics {
         return Err(ServerError::Protocol(format!(
@@ -1317,7 +1260,7 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
     let service = ChaosService::new(executor, cfg.blocks);
     let window = cfg.window.max(2);
     let sink = SharedSink::new();
-    let mut wal = WalWriter::new(sink.clone(), cfg.blocks).map_err(ServerError::Io)?;
+    let mut wal = WalWriter::new(sink.clone(), cfg.blocks)?;
 
     // Queue the whole stream up front (the loopback channel is unbounded),
     // so the serve loop runs inline on this thread and dies at a point that
@@ -1326,14 +1269,10 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
     // so the close always fires.
     let (mut client_end, server_end) = loopback_pair();
     for event in &events {
-        client_end
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
+        client_end.send(&encode_event_request(event))?;
     }
     for _ in 0..3 {
-        client_end
-            .send(&encode_aggregate_request())
-            .map_err(ServerError::Io)?;
+        client_end.send(&encode_aggregate_request())?;
     }
     let frames_sent = events.len() as u64 + 3;
     let plan = FaultPlan {
@@ -1341,15 +1280,16 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
         ..FaultPlan::clean(cfg.seed)
     };
     let mut hostile = FaultTransport::new(server_end, plan);
-    let outcome = serve_durable(
+    let outcome = serve_observed(
         &service,
         &mut hostile,
         window,
-        Durability::LogSnapshot {
+        Durability::Log {
             wal: &mut wal,
             sync_every: 8,
             snapshot_every: 16,
         },
+        None,
     );
     drop(hostile);
     match outcome {
@@ -1362,7 +1302,8 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
     }
     // The replies that escaped before the close (at most two) must still
     // verify in order; anything owed after them died with the server.
-    let mut queue: VecDeque<Expect> = events.iter().map(|e| Expect::for_event(e, false)).collect();
+    let mut queue: VecDeque<Option<Reply>> =
+        events.iter().map(|e| Some(Reply::for_event(e))).collect();
     loop {
         match client_end.recv() {
             Ok(Some(frame)) => {
@@ -1371,7 +1312,7 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
                         ServerError::Protocol("recover: more acks than events".into())
                     })?;
                     match (ack.status, want) {
-                        (ACK_DONE, Expect::Done(reply)) if ack.reply == reply => {}
+                        (ACK_DONE, Some(reply)) if ack.reply == reply => {}
                         (status, want) => {
                             return Err(ServerError::Protocol(format!(
                                 "recover: escaped ack mismatch: status {status}, reply {:?}, \

@@ -24,6 +24,7 @@
 
 mod app;
 pub mod chaos;
+mod conn;
 pub mod metrics;
 pub mod protocol_server;
 pub mod server;
@@ -47,9 +48,8 @@ pub use server::{
     serve_pool, serve_pool_observed, PollOptions, PollReport, PoolOptions, PoolReport, PoolWal,
 };
 pub use service::{
-    run_client, run_client_events, run_metrics_probe, serve, serve_durable, serve_observed,
-    serve_tcp_once, BatchService, ClientReport, Durability, ExecutorService, ProtocolService,
-    Reply,
+    run_client, run_client_events, run_metrics_probe, serve, serve_observed, BatchService,
+    ClientReport, Durability, ExecutorService, ProtocolService, Reply,
 };
 pub use trace::{Action, Topology, Workload, WorkloadScale};
 pub use transport::{

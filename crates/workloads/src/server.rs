@@ -1,14 +1,12 @@
 //! Multi-connection protocol server: the network edge of the PDQ pipeline.
 //!
-//! The paper's point is parallelizing fine-grain protocol *dispatch* — and
-//! the executor side of this repo is lock-free — but
-//! [`serve_tcp_once`](crate::serve_tcp_once) accepts exactly one client.
-//! This module turns the protocol service into a real network server in two
-//! tiers:
+//! The paper's point is parallelizing fine-grain protocol *dispatch*. This
+//! module turns the protocol service into a real network server in two
+//! tiers, both drivers of one connection state machine (`Conn`, in `conn.rs`):
 //!
 //! * [`serve_pool`] — **thread-per-connection pool**. Every accepted
-//!   connection gets a scoped thread running the existing
-//!   [`serve_durable`](crate::serve_durable) loop against the *shared*
+//!   connection gets a scoped thread running the blocking
+//!   [`serve_observed`] loop against the *shared*
 //!   service, so all connections feed one executor. Optionally, each
 //!   connection write-ahead-logs its events into its own directory
 //!   (`conn-NNNN` under a shared root), so durability works over real
@@ -32,6 +30,7 @@
 //!   parked admission queue empty        (executor accepted everything)
 //!   in-flight handles < max_pending     (reply window not exhausted)
 //!   encoder backlog < write watermark   (peer is draining its replies)
+//!   no control request waiting          (its answer is next in order)
 //!   stream not at EOF
 //! ```
 //!
@@ -51,23 +50,19 @@
 //! `DetRng::stream`, and [`merged_reference_aggregate`] is the sequential
 //! fold the drivers compare against.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use pdq_core::executor::{JobError, SubmitBatch, TypedHandle};
+use pdq_core::executor::SubmitBatch;
 use pdq_sim::DetRng;
 
+use crate::conn::Conn;
 use crate::metrics::{ConnObs, Observability};
 use crate::protocol_server::{ServerAggregate, ServerConfig, ServerError};
-use crate::service::{
-    decode_request, encode_ack, encode_aggregate_reply, encode_metrics_reply, serve_observed, Ack,
-    BatchService, Durability, ProtocolService, Reply, WireRequest, ACK_DONE, ACK_PANICKED,
-};
+use crate::service::{frame_error, serve_observed, BatchService, Durability, ProtocolService};
 use crate::transport::{FrameDecoder, FrameEncoder, TcpTransport};
 use crate::wal::WalWriter;
 
@@ -151,54 +146,37 @@ fn serve_pool_conn(
     index: usize,
     obs: Option<&Observability>,
 ) -> Result<u64, ServerError> {
-    stream.set_nodelay(true).map_err(ServerError::Io)?;
-    let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-    let conn = obs.map(|o| o.conn(index as u64));
-    if let Some(conn) = &conn {
-        conn.opened();
-    }
-    let served = match &opts.wal {
-        None => serve_observed(
-            service,
-            &mut transport,
-            opts.window,
-            Durability::Off,
-            conn.as_ref(),
-        ),
+    stream.set_nodelay(true)?;
+    let mut transport = TcpTransport::new(stream)?;
+    let mut wal = match &opts.wal {
+        None => None,
         Some(w) => {
-            let dir = pool_wal_dir(&w.root, index);
-            let mut wal = WalWriter::create(&dir, w.blocks).map_err(ServerError::Io)?;
+            let mut wal = WalWriter::create(&pool_wal_dir(&w.root, index), w.blocks)?;
             if let Some(n) = w.crash_after {
                 wal.arm_crash_after_events(n);
             }
             if let Some(o) = obs {
                 wal.set_metrics(o.wal_metrics(index as u64));
             }
-            let durability = if w.snapshot_every > 0 {
-                Durability::LogSnapshot {
-                    wal: &mut wal,
-                    sync_every: w.sync_every,
-                    snapshot_every: w.snapshot_every,
-                }
-            } else {
-                Durability::Log {
-                    wal: &mut wal,
-                    sync_every: w.sync_every,
-                }
-            };
-            serve_observed(
-                service,
-                &mut transport,
-                opts.window,
-                durability,
-                conn.as_ref(),
-            )
+            Some((wal, w))
         }
     };
-    if let Some(conn) = &conn {
-        conn.closed(*served.as_ref().unwrap_or(&0));
-    }
-    served
+    let durability = match &mut wal {
+        None => Durability::Off,
+        Some((wal, w)) => Durability::Log {
+            wal,
+            sync_every: w.sync_every,
+            snapshot_every: w.snapshot_every,
+        },
+    };
+    let conn = obs.map(|o| o.conn(index as u64));
+    serve_observed(
+        service,
+        &mut transport,
+        opts.window,
+        durability,
+        conn.as_ref(),
+    )
 }
 
 /// Serves `opts.accept` connections from `listener`, one scoped thread per
@@ -219,9 +197,9 @@ fn serve_pool_conn(
 ///
 /// # Errors
 ///
-/// The first error any connection hit (accept/socket-configuration failures
-/// included), after all other connections have finished serving. Durability
-/// faults on one connection therefore do not abort the others mid-stream.
+/// The first error an accept or a connection (in accept order) hit, after
+/// all other connections have finished serving. Durability faults on one
+/// connection therefore do not abort the others mid-stream.
 pub fn serve_pool(
     listener: &TcpListener,
     service: &dyn ProtocolService,
@@ -232,7 +210,7 @@ pub fn serve_pool(
 
 /// [`serve_pool`] with optional observability: connection lifecycle and WAL
 /// counters/trace events flow into `obs`, per-connection serve loops record
-/// reply latency, and a [`WireRequest::Metrics`] frame on any connection
+/// reply latency, and a metrics request frame on any connection
 /// answers with the rendered registry. Pass `None` for the uninstrumented
 /// behaviour (identical to [`serve_pool`]).
 ///
@@ -248,47 +226,33 @@ pub fn serve_pool_observed(
     if let Some(o) = obs {
         o.set_tier("pool");
     }
-    let accept = opts.accept.max(1);
-    let answered = AtomicU64::new(0);
-    let connections = AtomicU64::new(0);
-    let first_err: Mutex<Option<ServerError>> = Mutex::new(None);
-    let record_err = |e: ServerError| {
-        let mut slot = first_err.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(e);
-    };
     std::thread::scope(|scope| {
-        for index in 0..accept {
+        let mut served = Vec::new();
+        let mut first_err = None;
+        for index in 0..opts.accept.max(1) {
             match listener.accept() {
-                Ok((stream, _)) => {
-                    connections.fetch_add(1, Ordering::Relaxed);
-                    let answered = &answered;
-                    let record_err = &record_err;
-                    scope.spawn(
-                        move || match serve_pool_conn(stream, service, opts, index, obs) {
-                            Ok(n) => {
-                                answered.fetch_add(n, Ordering::Relaxed);
-                            }
-                            Err(e) => record_err(e),
-                        },
-                    );
-                }
+                Ok((stream, _)) => served
+                    .push(scope.spawn(move || serve_pool_conn(stream, service, opts, index, obs))),
                 Err(e) => {
-                    record_err(ServerError::Io(e));
+                    first_err = Some(ServerError::Io(e));
                     break;
                 }
             }
         }
-    });
-    match first_err
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some(e) => Err(e),
-        None => Ok(PoolReport {
-            connections: connections.into_inner(),
-            answered: answered.into_inner(),
-        }),
-    }
+        let mut report = PoolReport {
+            connections: served.len() as u64,
+            answered: 0,
+        };
+        for handle in served {
+            match handle.join().expect("pool connection must not panic") {
+                Ok(answered) => report.answered += answered,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(report), Err)
+    })
 }
 
 /// Options for the readiness-polled tier ([`serve_poll`]).
@@ -355,31 +319,24 @@ impl PollReport {
     }
 }
 
-/// Per-connection state of the poll loop: the resumable codec halves, the
-/// FIFO of reply handles, and the parked (admission-refused) tail.
+/// The readiness driver of one connection (`Conn`, in `conn.rs`): the
+/// non-blocking stream, its resumable codec halves, and the parked
+/// (admission-refused) tail. Acks go out eagerly, as calls finish.
 ///
 /// Invariant: `parked` entries are always the **suffix** of the calls whose
-/// handles sit at the back of `inflight` — `try_admit` admits from the
-/// front and refuses a tail, and new frames append to both. Handles are
-/// resolved front-first, so acks go out in request order even though
+/// replies sit at the back of the connection's FIFO — `try_admit` admits
+/// from the front and refuses a tail, and new frames append to both. Replies
+/// are resolved front-first, so acks go out in request order even though
 /// admission is batched.
 struct PollConn {
     stream: TcpStream,
     decoder: FrameDecoder,
     encoder: FrameEncoder,
-    inflight: VecDeque<TypedHandle<Reply>>,
+    conn: Conn<'static>,
     parked: SubmitBatch,
-    agg_requested: bool,
     eof: bool,
-    completed: u64,
     report: PollReport,
-    /// Observability handle; `None` leaves the sweep uninstrumented.
-    obs: Option<ConnObs>,
-    /// Decode timestamps, index-parallel to `inflight` (only maintained
-    /// when `obs` is set).
-    stamps: VecDeque<Instant>,
-    /// Whether the connection is currently read-suspended by a parked
-    /// admission tail (tracked so the trace logs transitions, not sweeps).
+    /// Whether a parked admission tail has suspended reads.
     suspended: bool,
     /// Whether the encoder backlog is currently above the write watermark.
     write_blocked: bool,
@@ -387,47 +344,72 @@ struct PollConn {
 
 impl PollConn {
     fn new(stream: TcpStream, obs: Option<ConnObs>) -> Self {
-        if let Some(obs) = &obs {
-            obs.opened();
-        }
         Self {
             stream,
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
-            inflight: VecDeque::new(),
+            conn: Conn::new(Durability::Off, obs),
             parked: SubmitBatch::new(),
-            agg_requested: false,
             eof: false,
-            completed: 0,
             report: PollReport::default(),
-            obs,
-            stamps: VecDeque::new(),
             suspended: false,
             write_blocked: false,
         }
     }
 
-    /// Records the connection's end (called once, when the worker retires
-    /// it — served to completion or torn down by an error).
-    fn finish(&self) {
-        if let Some(obs) = &self.obs {
-            obs.closed(self.report.answered);
+    /// The connection's report, once the worker retires it (served to
+    /// completion or torn down by an error).
+    fn retire(self) -> PollReport {
+        PollReport {
+            answered: self.conn.answered,
+            completed: self.conn.completed,
+            ..self.report
         }
     }
 
+    /// Whether the sweep takes new frames. Frames still staged behind an
+    /// answered control request are taken after EOF too.
     fn read_interest(&self, max_pending: usize) -> bool {
-        !self.eof
+        (!self.eof || self.decoder.has_partial())
+            && !self.conn.has_control()
             && self.parked.is_empty()
-            && self.inflight.len() < max_pending
+            && self.conn.in_flight() < max_pending
             && self.encoder.staged() < ENCODER_WRITE_WATERMARK
     }
 
+    /// At EOF, with no frame, control request, call or reply left.
     fn done(&self) -> bool {
         self.eof
-            && self.inflight.is_empty()
-            && self.parked.is_empty()
+            && !self.decoder.has_partial()
+            && !self.conn.has_control()
+            && self.conn.in_flight() == 0
             && self.encoder.is_empty()
-            && !self.agg_requested
+    }
+
+    /// One `try_admit` pass over the parked entries; returns whether it
+    /// admitted any. A refused tail stays parked and `read_interest` goes
+    /// false, so the kernel buffer fills and TCP pushes back on the peer:
+    /// a refused `fresh` batch counts as a suspension.
+    fn admit(&mut self, service: &dyn BatchService, fresh: bool) -> Result<bool, ServerError> {
+        let admitted = service.try_admit(&mut self.parked)?;
+        let refused = !self.parked.is_empty();
+        self.report.batches += u64::from(admitted > 0);
+        self.report.suspensions += u64::from(fresh && refused);
+        // Suspended until the parked tail is gone; the trace logs the
+        // transitions, not every sweep.
+        let suspended = refused && (fresh || self.suspended);
+        if let Some(obs) = &self.conn.obs {
+            if admitted > 0 {
+                obs.admitted(admitted as u64);
+            }
+            match (self.suspended, suspended) {
+                (false, true) => obs.suspended(self.parked.len() as u64),
+                (true, false) => obs.resumed(),
+                _ => {}
+            }
+        }
+        self.suspended = suspended;
+        Ok(admitted > 0)
     }
 
     /// One sweep: flush pending writes, ack finished calls, retry parked
@@ -447,49 +429,26 @@ impl PollConn {
             if self.eof {
                 let _ = self.encoder.write_to(&mut io::sink());
             } else {
-                progress |= self.encoder.write_to(&mut self.stream).map_err(io_error)? > 0;
+                progress |= self
+                    .encoder
+                    .write_to(&mut self.stream)
+                    .map_err(frame_error)?
+                    > 0;
             }
         }
 
-        // 2. Resolve finished calls front-first (request order). Parked
-        //    (never-admitted) entries correspond to the *back* of
-        //    `inflight`, so a finished front handle is always an admitted
-        //    call.
-        while self.inflight.front().is_some_and(TypedHandle::is_finished) {
-            let handle = self.inflight.pop_front().expect("front was checked");
-            let ack = match handle.wait() {
-                Ok(reply) => {
-                    self.completed += 1;
-                    self.report.completed += 1;
-                    Ack {
-                        status: ACK_DONE,
-                        reply,
-                    }
-                }
-                Err(JobError::Panicked) => Ack {
-                    status: ACK_PANICKED,
-                    reply: Reply {
-                        class: 0xFF,
-                        digest: 0,
-                    },
-                },
-                Err(JobError::Aborted) => return Err(ServerError::Shutdown),
-            };
-            self.encoder
-                .push_frame(&encode_ack(ack))
-                .map_err(ServerError::Io)?;
-            self.report.answered += 1;
-            if let (Some(obs), Some(stamp)) = (&self.obs, self.stamps.pop_front()) {
-                let latency = stamp.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                obs.reply(latency);
-            }
+        // 2. Ack every finished call front-first (request order). Parked
+        //    (never-admitted) entries are the *back* of the FIFO, so a
+        //    finished front is always an admitted call.
+        while self.conn.oldest_finished() {
+            self.encoder.push_frame(&self.conn.ack_oldest()?)?;
             progress = true;
         }
 
         // Encoder-watermark backpressure: the peer stopped draining acks,
         // so `read_interest` below goes false until the backlog shrinks.
         // Observability logs the transition, not every blocked sweep.
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.conn.obs {
             let blocked = self.encoder.staged() >= ENCODER_WRITE_WATERMARK;
             if blocked && !self.write_blocked {
                 obs.write_blocked(self.encoder.staged() as u64);
@@ -501,102 +460,51 @@ impl PollConn {
         //    (below) admit freshly decoded frames — never both, so executor
         //    pressure throttles intake instead of racing it.
         if !self.parked.is_empty() {
-            let admitted = service.try_admit(&mut self.parked)?;
-            progress |= admitted > 0;
-            if admitted > 0 {
-                self.report.batches += 1;
-                if let Some(obs) = &self.obs {
-                    obs.admitted(admitted as u64);
-                }
-            }
-            if self.parked.is_empty() && self.suspended {
-                self.suspended = false;
-                if let Some(obs) = &self.obs {
-                    obs.resumed();
-                }
-            }
+            progress |= self.admit(service, false)?;
         } else if self.read_interest(max_pending) {
-            let status = self.decoder.fill_from(&mut self.stream).map_err(io_error)?;
-            self.eof |= status.eof;
-            progress |= status.read > 0;
-            while let Some(frame) = self.decoder.next_frame().map_err(io_error)? {
-                match decode_request(&frame)? {
-                    WireRequest::Event(event) => {
-                        let (key, job, handle) = service.prepare(event);
-                        self.parked.push(key, job);
-                        self.inflight.push_back(handle);
-                        if self.obs.is_some() {
-                            self.stamps.push_back(Instant::now());
-                        }
-                        self.report.events += 1;
-                    }
-                    // The poll tier acks eagerly as handles finish, so a
-                    // drain request needs no action: the client's
-                    // outstanding acks are already on their way.
-                    WireRequest::Drain => {}
-                    WireRequest::Metrics => {
-                        let text = self.obs.as_ref().map(ConnObs::render).unwrap_or_default();
-                        self.encoder
-                            .push_frame(&encode_metrics_reply(&text))
-                            .map_err(ServerError::Io)?;
-                        progress = true;
-                    }
-                    WireRequest::Aggregate => self.agg_requested = true,
-                }
+            if !self.eof {
+                let status = self
+                    .decoder
+                    .fill_from(&mut self.stream)
+                    .map_err(frame_error)?;
+                self.eof |= status.eof;
+                progress |= status.read > 0;
             }
-            if self.eof && self.decoder.has_partial() {
-                return Err(ServerError::Protocol("stream ended mid-frame".into()));
+            // Every staged frame, up to a control request: that one waits
+            // for the calls before it (step 4), and the frames behind it
+            // wait for its answer.
+            while !self.conn.has_control() {
+                let Some(frame) = self.decoder.next_frame().map_err(frame_error)? else {
+                    if self.eof && self.decoder.has_partial() {
+                        return Err(ServerError::Protocol("stream ended mid-frame".into()));
+                    }
+                    break;
+                };
+                if let Some(event) = self.conn.request(&frame)? {
+                    // This tier runs without a log: logging only stamps.
+                    self.conn.log(&event)?;
+                    let (key, job, handle) = service.prepare(event);
+                    self.parked.push(key, job);
+                    self.conn.push_replies([handle.into()]);
+                    self.report.events += 1;
+                }
             }
             if !self.parked.is_empty() {
-                let admitted = service.try_admit(&mut self.parked)?;
-                if admitted > 0 {
-                    self.report.batches += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.admitted(admitted as u64);
-                    }
-                    progress = true;
-                }
-                if !self.parked.is_empty() {
-                    // Executor refused part of the batch: the leftover tail
-                    // stays parked and `read_interest` goes false, so the
-                    // kernel buffer fills and TCP pushes back on the peer.
-                    self.report.suspensions += 1;
-                    if !self.suspended {
-                        self.suspended = true;
-                        if let Some(obs) = &self.obs {
-                            obs.suspended(self.parked.len() as u64);
-                        }
-                    }
-                }
+                progress |= self.admit(service, true)?;
             }
         }
 
-        // 4. An aggregate answer waits until this connection's own calls
-        //    have drained, then flushes the *shared* service so the fold is
-        //    quiescent. (Multi-client runs use drain + a driver-side
-        //    aggregate instead; see `serve_pool`.)
-        if self.agg_requested && self.inflight.is_empty() && self.parked.is_empty() {
-            service.flush();
-            let agg = service.aggregate(self.completed);
-            self.encoder
-                .push_frame(&encode_aggregate_reply(&agg))
-                .map_err(ServerError::Io)?;
-            self.agg_requested = false;
+        // 4. A control request is answered once this connection's own calls
+        //    have all been acked. (Multi-client runs use drain + a
+        //    driver-side aggregate instead; see `serve_pool`.)
+        if self.conn.has_control() && self.conn.in_flight() == 0 {
+            if let Some(reply) = self.conn.answer(service)? {
+                self.encoder.push_frame(&reply)?;
+            }
             progress = true;
         }
 
         Ok(progress)
-    }
-}
-
-/// Maps poll-loop stream failures exactly as the blocking server loop does:
-/// truncation/malformed-data are the peer's protocol violations, the rest
-/// are I/O faults.
-fn io_error(e: io::Error) -> ServerError {
-    match e.kind() {
-        io::ErrorKind::UnexpectedEof => ServerError::Protocol(format!("truncated frame: {e}")),
-        io::ErrorKind::InvalidData => ServerError::Protocol(format!("malformed frame: {e}")),
-        _ => ServerError::Io(e),
     }
 }
 
@@ -608,32 +516,22 @@ fn poll_worker(
 ) -> Result<PollReport, ServerError> {
     let mut report = PollReport::default();
     let mut conns: Vec<PollConn> = Vec::new();
-    let mut disconnected = false;
-    let accept = |(stream, id): (TcpStream, u64)| PollConn::new(stream, obs.map(|o| o.conn(id)));
     loop {
-        if conns.is_empty() {
-            if disconnected {
-                return Ok(report);
-            }
-            match rx.recv() {
-                Ok(dealt) => {
-                    report.connections += 1;
-                    conns.push(accept(dealt));
-                }
-                Err(_) => return Ok(report),
-            }
-        }
+        // Take every dealt connection, blocking for one only when there is
+        // nothing to sweep.
         loop {
-            match rx.try_recv() {
-                Ok(dealt) => {
+            let dealt = if conns.is_empty() {
+                rx.recv().map_err(|_| mpsc::TryRecvError::Disconnected)
+            } else {
+                rx.try_recv()
+            };
+            match dealt {
+                Ok((stream, id)) => {
                     report.connections += 1;
-                    conns.push(accept(dealt));
+                    conns.push(PollConn::new(stream, obs.map(|o| o.conn(id))));
                 }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Err(mpsc::TryRecvError::Disconnected) if conns.is_empty() => return Ok(report),
+                Err(_) => break,
             }
         }
         let mut progress = false;
@@ -643,9 +541,7 @@ fn poll_worker(
                 Ok(p) => {
                     progress |= p;
                     if conns[index].done() {
-                        let conn = conns.swap_remove(index);
-                        conn.finish();
-                        report.merge(&conn.report);
+                        report.merge(&conns.swap_remove(index).retire());
                     } else {
                         index += 1;
                     }
@@ -655,9 +551,7 @@ fn poll_worker(
                 // this one connection and the rest keep serving.
                 Err(ServerError::Shutdown) => return Err(ServerError::Shutdown),
                 Err(_) => {
-                    let conn = conns.swap_remove(index);
-                    conn.finish();
-                    report.merge(&conn.report);
+                    report.merge(&conns.swap_remove(index).retire());
                     report.failed += 1;
                     progress = true;
                 }
@@ -695,7 +589,7 @@ pub fn serve_poll(
 
 /// [`serve_poll`] with optional observability: each worker's sweep records
 /// admission batches, backpressure transitions, and reply latency into
-/// `obs`, and a [`WireRequest::Metrics`] frame on any connection answers
+/// `obs`, and a metrics request frame on any connection answers
 /// with the rendered registry. Pass `None` for the uninstrumented behaviour
 /// (identical to [`serve_poll`]).
 ///
@@ -722,31 +616,25 @@ pub fn serve_poll_observed(
             txs.push(tx);
             handles.push(scope.spawn(move || poll_worker(&rx, service, max_pending, obs)));
         }
-        let mut accept_err = None;
+        let mut first_err = None;
         for index in 0..accept {
-            let accepted = listener
-                .accept()
-                .and_then(|(stream, _)| {
-                    stream.set_nodelay(true)?;
-                    stream.set_nonblocking(true)?;
-                    Ok(stream)
-                })
-                .map_err(ServerError::Io);
+            let accepted = listener.accept().and_then(|(stream, _)| {
+                stream.set_nodelay(true)?;
+                stream.set_nonblocking(true)?;
+                Ok(stream)
+            });
             match accepted {
-                Ok(stream) => {
-                    // A send only fails if the worker died; surface that as
-                    // the worker's own error after the join below.
-                    let _ = txs[index % workers].send((stream, index as u64));
-                }
+                // A send only fails if the worker died; surface that as the
+                // worker's own error after the join below.
+                Ok(stream) => drop(txs[index % workers].send((stream, index as u64))),
                 Err(e) => {
-                    accept_err = Some(e);
+                    first_err = Some(ServerError::Io(e));
                     break;
                 }
             }
         }
         drop(txs);
         let mut report = PollReport::default();
-        let mut first_err = accept_err;
         for handle in handles {
             match handle.join().expect("poll worker must not panic") {
                 Ok(worker_report) => report.merge(&worker_report),
@@ -755,10 +643,7 @@ pub fn serve_poll_observed(
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        first_err.map_or(Ok(report), Err)
     })
 }
 
@@ -794,20 +679,23 @@ pub fn merged_reference_aggregate(base: &ServerConfig, clients: u64) -> ServerAg
 mod tests {
     use super::*;
     use crate::protocol_server::generate_events;
+    use crate::service::Reply;
     use crate::service::{run_client, run_client_events};
     use crate::transport::TcpTransport;
-    use pdq_core::executor::{build_executor, ExecutorSpec, TypedFuture, EXECUTOR_NAMES};
+    use pdq_core::executor::{
+        build_executor, ExecutorSpec, TypedFuture, TypedHandle, EXECUTOR_NAMES,
+    };
     use pdq_core::ShutdownError;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tcp_client(
         addr: std::net::SocketAddr,
         events: &[pdq_dsm::ProtocolEvent],
         window: usize,
     ) -> Result<crate::ClientReport, ServerError> {
-        let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-        stream.set_nodelay(true).map_err(ServerError::Io)?;
-        let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let mut transport = TcpTransport::new(stream)?;
         run_client_events(&mut transport, events, window, false)
     }
 
@@ -868,8 +756,8 @@ mod tests {
                 let server =
                     scope.spawn(move || serve_poll(&listener, service, &PollOptions::new(1, 1)));
                 let client = scope.spawn(move || {
-                    let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-                    let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
+                    let stream = TcpStream::connect(addr)?;
+                    let mut transport = TcpTransport::new(stream)?;
                     run_client(&mut transport, &cfg, 16)
                 });
                 let aggregate = client.join().expect("client thread").expect("client ok");

@@ -15,32 +15,32 @@
 //! [`TypedFuture`] of the [`Reply`]); [`ExecutorService`] implements it over
 //! any [`Executor`] by submitting the [`ServerState`] handler with
 //! `submit_async_returning`, so a handler panic or an executor shutdown
-//! surfaces as a typed [`JobError`] instead of a poisoned counter. [`serve`]
-//! drives a [`Transport`] against a service with a bounded window of
-//! in-flight calls; [`run_client`] is the matching client: it streams the
-//! deterministic event stream of a [`ServerConfig`], verifies every ack
-//! against the reply digest it expects, and fetches the final
-//! [`ServerAggregate`] — which is byte-identical to an in-process
+//! surfaces as a typed [`JobError`](pdq_core::executor::JobError) instead of
+//! a poisoned counter. [`serve`] drives a [`Transport`] against a service
+//! with a bounded window of in-flight calls; [`run_client`] is the matching
+//! client: it streams the deterministic event stream of a [`ServerConfig`],
+//! verifies every ack against the reply digest it expects, and fetches the
+//! final [`ServerAggregate`] — which is byte-identical to an in-process
 //! [`run_server`](crate::run_server) run of the same config, whatever the
 //! executor and whatever the transport.
 
 use std::collections::VecDeque;
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
 use pdq_core::executor::{
-    attach_returning, Executor, ExecutorExt, Job, JobError, SubmitBatch, TrySubmitError,
-    TypedFuture, TypedHandle,
+    attach_returning, Executor, ExecutorExt, Job, SubmitBatch, TrySubmitError, TypedFuture,
+    TypedHandle,
 };
 use pdq_core::{ShutdownError, SyncKey};
 use pdq_dsm::{BlockAddr, Message, PageAddr, ProtocolEvent, Request};
 
+use crate::conn::Conn;
 use crate::metrics::ConnObs;
 use crate::protocol_server::{
     generate_events, ServerAggregate, ServerConfig, ServerError, ServerState,
 };
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::Transport;
 use crate::wal::WalWriter;
 
 /// The typed response to one protocol request.
@@ -104,7 +104,7 @@ pub trait ProtocolService: Send + Sync {
 
     /// Exports the service's full counter state for a write-ahead-log
     /// snapshot record ([`crate::wal`]), or `None` if the service cannot
-    /// (in which case [`serve_durable`] silently downgrades snapshots to
+    /// (in which case [`serve_observed`] silently downgrades snapshots to
     /// plain sync points). Called after a `flush`, so the export reflects
     /// every dispatched call.
     fn snapshot_words(&self) -> Option<Vec<u64>> {
@@ -137,16 +137,22 @@ impl<'a> ExecutorService<'a> {
             state: Arc::new(ServerState::new(blocks)),
         }
     }
+
+    /// The keyed handler of one request: applies it to the shared state and
+    /// computes its reply.
+    fn handler(&self, request: ProtocolEvent) -> impl FnOnce() -> Reply + Send + 'static {
+        let state = Arc::clone(&self.state);
+        move || {
+            state.handle(&request);
+            Reply::for_event(&request)
+        }
+    }
 }
 
 impl ProtocolService for ExecutorService<'_> {
     fn call(&self, request: ProtocolEvent) -> TypedFuture<Reply> {
-        let state = Arc::clone(&self.state);
         self.executor
-            .submit_async_returning(request.sync_key(), move || {
-                state.handle(&request);
-                Reply::for_event(&request)
-            })
+            .submit_async_returning(request.sync_key(), self.handler(request))
     }
 
     fn call_burst(&self, requests: Vec<ProtocolEvent>) -> Vec<TypedFuture<Reply>> {
@@ -212,13 +218,8 @@ pub trait BatchService: ProtocolService {
 
 impl BatchService for ExecutorService<'_> {
     fn prepare(&self, request: ProtocolEvent) -> (SyncKey, Job, TypedHandle<Reply>) {
-        let state = Arc::clone(&self.state);
-        let key = request.sync_key();
-        let (job, handle) = attach_returning(move || {
-            state.handle(&request);
-            Reply::for_event(&request)
-        });
-        (key, job, handle)
+        let (job, handle) = attach_returning(self.handler(request));
+        (request.sync_key(), job, handle)
     }
 
     fn try_admit(&self, batch: &mut SubmitBatch) -> Result<usize, ShutdownError> {
@@ -651,34 +652,11 @@ pub(crate) fn recv_frame(transport: &mut dyn Transport) -> Result<Option<Vec<u8>
     transport.recv().map_err(frame_error)
 }
 
-fn frame_error(e: std::io::Error) -> ServerError {
+pub(crate) fn frame_error(e: std::io::Error) -> ServerError {
     match e.kind() {
         std::io::ErrorKind::UnexpectedEof => ServerError::Protocol(format!("truncated frame: {e}")),
         std::io::ErrorKind::InvalidData => ServerError::Protocol(format!("malformed frame: {e}")),
         _ => ServerError::Io(e),
-    }
-}
-
-/// Resolves the oldest in-flight call and encodes its ack.
-fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<[u8; 11], ServerError> {
-    match fut.wait() {
-        Ok(reply) => {
-            *completed += 1;
-            Ok(encode_ack(Ack {
-                status: ACK_DONE,
-                reply,
-            }))
-        }
-        Err(JobError::Panicked) => Ok(encode_ack(Ack {
-            status: ACK_PANICKED,
-            reply: Reply {
-                class: 0xFF,
-                digest: 0,
-            },
-        })),
-        // The executor shut down underneath the server: surface the race as
-        // a typed error instead of a lost reply.
-        Err(JobError::Aborted) => Err(ServerError::Shutdown),
     }
 }
 
@@ -713,87 +691,64 @@ pub fn serve(
     transport: &mut dyn Transport,
     window: usize,
 ) -> Result<u64, ServerError> {
-    serve_durable(service, transport, window, Durability::Off)
+    serve_observed(service, transport, window, Durability::Off, None)
 }
 
-/// Durability configuration for [`serve_durable`]: whether, and how, the
+/// Durability configuration for [`serve_observed`]: whether, and how, the
 /// serve loop write-ahead-logs every event before dispatching it.
 #[derive(Debug)]
 pub enum Durability<'a> {
     /// No logging — the configuration [`serve`] runs with.
     Off,
-    /// Append every event to `wal` before the service sees it, and sync
-    /// (durability barrier) every `sync_every` events.
+    /// Append every event to `wal` before the service sees it, sync
+    /// (durability barrier) every `sync_every` events, and append a full
+    /// state snapshot every `snapshot_every` events to bound recovery
+    /// replay. Snapshot cadences that are not multiples of `sync_every` get
+    /// both record kinds at their own cadences; a snapshot always syncs.
     Log {
         /// The write-ahead log to append to.
         wal: &'a mut WalWriter,
         /// Events between sync points (clamped to at least 1).
         sync_every: u64,
-    },
-    /// As [`Durability::Log`], plus a full state snapshot every
-    /// `snapshot_every` events to bound recovery replay. Snapshot cadences
-    /// that are not multiples of `sync_every` get both record kinds at
-    /// their own cadences; a snapshot always syncs.
-    LogSnapshot {
-        /// The write-ahead log to append to.
-        wal: &'a mut WalWriter,
-        /// Events between sync points (clamped to at least 1).
-        sync_every: u64,
-        /// Events between snapshot records (clamped to at least 1).
+        /// Events between snapshot records; `0` takes none.
         snapshot_every: u64,
     },
 }
 
-/// [`serve`] with a [`Durability`] configuration: identical request/reply
-/// behaviour, but with `Log`/`LogSnapshot` every event is appended to the
-/// write-ahead log **before** `service.call` dispatches it — so a crash at
-/// any point loses at most replies, never acknowledged-and-synced state.
+/// [`serve`] with a [`Durability`] configuration and optional
+/// observability — the blocking driver of the connection state machine
+/// (`Conn`, in `conn.rs`), one thread per connection, acking lazily.
 ///
-/// The logging discipline:
+/// With [`Durability::Log`] every event is appended to the write-ahead log
+/// **before** the service dispatches it, so a crash at any point loses at
+/// most replies, never acknowledged-and-synced state:
 ///
 /// * a burst (what the transport had already delivered; one event where it
 ///   does not read ahead) is appended in order, dispatched in one
 ///   [`ProtocolService::call_burst`], then (window permitting) acked; on
 ///   every exit, errors included, each appended event has been dispatched;
-/// * every `sync_every` events the log syncs (a durability barrier), inside
-///   a burst too: the log bytes do not depend on burst sizes;
+/// * every `sync_every` events the log syncs, inside a burst too: the log
+///   bytes do not depend on burst sizes;
 /// * every `snapshot_every` events (which ends the burst) the loop flushes
 ///   the service, exports its state ([`ProtocolService::snapshot_words`]) and
-///   appends a snapshot record (which itself syncs); services that cannot
-///   export downgrade it to a plain sync. The flush does **not** drain acks,
-///   so durability never perturbs the reply cadence — reports and aggregates
-///   stay byte-identical with and without a WAL;
+///   appends a snapshot record; services that cannot export downgrade it to
+///   a plain sync. The flush does **not** drain acks, so durability never
+///   perturbs the reply cadence;
 /// * an aggregate request and a clean end of stream both sync, so a politely
 ///   closed connection always leaves a fully durable log.
+///
+/// When `obs` is set, every ack bumps the shared reply counter and records
+/// server-side latency (decode to ack) into the reply histogram, and a
+/// [`WireRequest::Metrics`] frame answers with the rendered registry (an
+/// empty payload when `obs` is `None`). Recording never changes what is
+/// read, dispatched, or replied, so aggregates stay byte-identical with
+/// observability on and off.
 ///
 /// # Errors
 ///
 /// As [`serve`], plus [`ServerError::Io`] if appending to or syncing the
 /// log fails — a durability failure tears the connection down rather than
 /// silently serving without its log.
-pub fn serve_durable(
-    service: &dyn ProtocolService,
-    transport: &mut dyn Transport,
-    window: usize,
-    durability: Durability<'_>,
-) -> Result<u64, ServerError> {
-    serve_observed(service, transport, window, durability, None)
-}
-
-/// [`serve_durable`] with optional observability: when `obs` is set, every
-/// ack bumps the shared reply counter and records server-side latency (the
-/// span from the event frame's decode to its ack's encode) into the reply
-/// histogram, and a [`WireRequest::Metrics`] frame answers with the
-/// rendered registry (an empty payload when `obs` is `None`, so probing an
-/// unobserved server is well-formed rather than an error).
-///
-/// Recording is counters-only — it never changes what is read, dispatched,
-/// or replied — so aggregates stay byte-identical with observability on
-/// and off (the determinism contract CI byte-diffs).
-///
-/// # Errors
-///
-/// As [`serve_durable`].
 pub fn serve_observed(
     service: &dyn ProtocolService,
     transport: &mut dyn Transport,
@@ -802,191 +757,86 @@ pub fn serve_observed(
     obs: Option<&ConnObs>,
 ) -> Result<u64, ServerError> {
     let window = window.max(1);
-    let (mut wal, sync_every, snapshot_every) = match durability {
-        Durability::Off => (None, 0, 0),
-        Durability::Log { wal, sync_every } => (Some(wal), sync_every.max(1), 0),
-        Durability::LogSnapshot {
-            wal,
-            sync_every,
-            snapshot_every,
-        } => (Some(wal), sync_every.max(1), snapshot_every.max(1)),
-    };
-    let mut replies = ReplyWindow {
-        pending: VecDeque::with_capacity(window),
-        stamps: VecDeque::new(),
-        obs,
-        completed: 0,
-        answered: 0,
-    };
-    // The frame to handle next: one that arrived behind a burst without
-    // belonging to it, else whatever the peer sends.
-    let mut ahead: Option<Vec<u8>> = None;
+    let mut conn = Conn::new(durability, obs.cloned());
+    // A malformed frame that arrived behind a burst, reported once the
+    // burst is dispatched.
+    let mut malformed = None;
     loop {
-        if ahead.is_none() {
-            ahead = recv_frame(transport)?;
-        }
-        let Some(frame) = ahead.take() else {
-            // Clean disconnect: abandon the in-flight replies. Dropping the
-            // futures does not cancel the handlers — they run to completion
-            // on the executor — so the service state stays consistent.
-            if let Some(wal) = wal.as_deref_mut() {
-                wal.sync().map_err(ServerError::Io)?;
+        if conn.has_control() {
+            while conn.in_flight() > 0 {
+                transport.send(&conn.ack_oldest()?)?;
             }
-            return Ok(replies.answered);
+            if let Some(reply) = conn.answer(service)? {
+                transport.send(&reply)?;
+            }
+            transport.flush()?;
+        }
+        if let Some(e) = malformed.take() {
+            return Err(e);
+        }
+        let Some(frame) = recv_frame(transport)? else {
+            // Clean disconnect: abandon the in-flight replies. Their
+            // handlers still run to completion on the executor, so the
+            // service state stays consistent.
+            conn.sync()?;
+            return Ok(conn.answered);
         };
-        match decode_request(&frame)? {
-            WireRequest::Event(first) => {
-                // The burst: this event plus those the transport can hand
-                // over without blocking, a window's worth at most, each logged
-                // before the next is looked at. Whatever ends it early waits
-                // in `stop` or `ahead` until the burst is dispatched: a logged
-                // event is a dispatched one on every exit.
-                let mut burst = Vec::new();
-                let mut next = Some(first);
-                let mut snapshot_due = false;
-                let mut stop = Ok(());
-                while let Some(event) = next.take() {
-                    if let Some(wal) = wal.as_deref_mut() {
-                        match wal.append_event(&event) {
-                            Ok(appended) => {
-                                snapshot_due = snapshot_every > 0 && appended % snapshot_every == 0;
-                                if !snapshot_due && appended % sync_every == 0 {
-                                    stop = wal.sync().map_err(ServerError::Io);
-                                }
-                            }
-                            Err(e) => {
-                                stop = Err(ServerError::Io(e));
-                                break;
-                            }
-                        }
-                    }
-                    if obs.is_some() {
-                        replies.stamps.push_back(Instant::now());
-                    }
-                    burst.push(event);
-                    // A snapshot exports the state as of its own event.
-                    if stop.is_err() || snapshot_due || burst.len() == window {
-                        break;
-                    }
-                    match transport.try_recv().map_err(frame_error) {
-                        Ok(Some(frame)) => match decode_request(&frame) {
-                            Ok(WireRequest::Event(event)) => next = Some(event),
-                            _ => ahead = Some(frame),
-                        },
-                        Ok(None) => {}
-                        Err(e) => stop = Err(e),
-                    }
-                }
-                // Acks stay lazy: only as many as make room for the burst.
-                let room = stop.and_then(|()| {
-                    while replies.pending.len() + burst.len() > window {
-                        replies.ack_oldest(transport)?;
-                    }
-                    Ok(())
-                });
-                let dispatched = service.call_burst(burst);
-                room?;
-                replies.pending.extend(dispatched);
-                debug_assert!(replies.pending.len() <= window, "reply window overflowed");
-                if replies.pending.len() >= window {
-                    replies.ack_oldest(transport)?;
-                }
-                if snapshot_due {
-                    if let Some(wal) = wal.as_deref_mut() {
-                        service.flush();
-                        match service.snapshot_words() {
-                            Some(words) => {
-                                wal.append_snapshot(&words).map_err(ServerError::Io)?;
-                            }
-                            None => wal.sync().map_err(ServerError::Io)?,
-                        }
-                    }
+        let Some(first) = conn.request(&frame)? else {
+            continue;
+        };
+        // The burst: this event plus those the transport can hand over
+        // without blocking, a window's worth at most, each logged before the
+        // next is looked at. Whatever ends it early waits in `stop`,
+        // `malformed` or the held control request until the burst is
+        // dispatched: a logged event is a dispatched one on every exit.
+        let mut burst = Vec::new();
+        let mut next = Some(first);
+        let mut snapshot_due = false;
+        let mut stop = Ok(());
+        while let Some(event) = next.take() {
+            match conn.log(&event) {
+                Ok(logged) => (snapshot_due, stop) = (logged.snapshot_due, logged.synced),
+                Err(e) => {
+                    stop = Err(e);
+                    break;
                 }
             }
-            WireRequest::Drain => {
-                while !replies.pending.is_empty() {
-                    replies.ack_oldest(transport)?;
-                }
-                transport.flush().map_err(ServerError::Io)?;
+            burst.push(event);
+            if stop.is_err() || snapshot_due || burst.len() == window {
+                break;
             }
-            WireRequest::Metrics => {
-                let text = obs.map(ConnObs::render).unwrap_or_default();
-                transport
-                    .send(&encode_metrics_reply(&text))
-                    .map_err(ServerError::Io)?;
-                transport.flush().map_err(ServerError::Io)?;
-            }
-            WireRequest::Aggregate => {
-                while !replies.pending.is_empty() {
-                    replies.ack_oldest(transport)?;
-                }
-                service.flush();
-                if let Some(wal) = wal.as_deref_mut() {
-                    wal.sync().map_err(ServerError::Io)?;
-                }
-                let agg = service.aggregate(replies.completed);
-                transport
-                    .send(&encode_aggregate_reply(&agg))
-                    .map_err(ServerError::Io)?;
-                transport.flush().map_err(ServerError::Io)?;
+            match transport.try_recv().map_err(frame_error) {
+                Ok(Some(frame)) => match conn.request(&frame) {
+                    Ok(event) => next = event,
+                    Err(e) => malformed = Some(e),
+                },
+                Ok(None) => {}
+                Err(e) => stop = Err(e),
             }
         }
-    }
-}
-
-/// The in-flight calls of one [`serve_observed`] connection, oldest first.
-struct ReplyWindow<'a> {
-    pending: VecDeque<TypedFuture<Reply>>,
-    /// Decode timestamps, index-parallel to `pending`; empty unless `obs`.
-    stamps: VecDeque<Instant>,
-    obs: Option<&'a ConnObs>,
-    completed: u64,
-    answered: u64,
-}
-
-impl ReplyWindow<'_> {
-    /// Resolves the oldest in-flight call and sends its ack.
-    fn ack_oldest(&mut self, transport: &mut dyn Transport) -> Result<(), ServerError> {
-        let fut = self.pending.pop_front().expect("window is non-empty");
-        let ack = resolve_ack(fut, &mut self.completed)?;
-        if let (Some(obs), Some(stamp)) = (self.obs, self.stamps.pop_front()) {
-            let latency = stamp.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            obs.reply(latency);
+        // Acks stay lazy: only as many as make room for the burst.
+        let room = stop.and_then(|()| {
+            while conn.in_flight() + burst.len() > window {
+                transport.send(&conn.ack_oldest()?)?;
+            }
+            Ok(())
+        });
+        let replies = service.call_burst(burst);
+        room?;
+        conn.push_replies(replies);
+        debug_assert!(conn.in_flight() <= window, "reply window overflowed");
+        if conn.in_flight() >= window {
+            transport.send(&conn.ack_oldest()?)?;
         }
-        transport.send(&ack).map_err(ServerError::Io)?;
-        self.answered += 1;
-        Ok(())
+        if snapshot_due {
+            conn.snapshot(service)?;
+        }
     }
-}
-
-/// Binds the service to one TCP connection: accepts a single client on
-/// `listener` and serves it to completion.
-///
-/// This is the **one-shot** path — it accepts exactly one connection and
-/// returns when that client disconnects. A real multi-client server is the
-/// [`server`](crate::server) module's business ([`serve_pool`](crate::serve_pool)
-/// / [`serve_poll`](crate::serve_poll)).
-///
-/// # Errors
-///
-/// As [`serve`], plus [`ServerError::Io`] if accepting the connection or
-/// configuring the socket (`TCP_NODELAY`) fails — a socket the server could
-/// not configure would silently serve with different latency behaviour, so
-/// the failure surfaces instead of being swallowed.
-pub fn serve_tcp_once(
-    listener: &TcpListener,
-    service: &dyn ProtocolService,
-    window: usize,
-) -> Result<u64, ServerError> {
-    let (stream, _) = listener.accept().map_err(ServerError::Io)?;
-    stream.set_nodelay(true).map_err(ServerError::Io)?;
-    let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-    serve(service, &mut transport, window)
 }
 
 /// Streams the deterministic event stream of `cfg` to a protocol server over
-/// `transport`, reading acks with a sliding window of `window` unanswered
-/// requests, then requests and returns the final aggregate.
+/// `transport` ([`run_client_events`]), then requests and returns the final
+/// aggregate.
 ///
 /// Every ack is verified against the reply digest the client expects for the
 /// event at that position (the server answers strictly in request order).
@@ -1004,55 +854,16 @@ pub fn run_client(
     cfg: &ServerConfig,
     window: usize,
 ) -> Result<ServerAggregate, ServerError> {
-    let window = window.max(1);
-    let mut expected: VecDeque<Reply> = VecDeque::with_capacity(window);
-    let mut panicked = 0u64;
-    let read_ack = |transport: &mut dyn Transport,
-                    expected: &mut VecDeque<Reply>,
-                    panicked: &mut u64|
-     -> Result<(), ServerError> {
-        let frame = recv_frame(transport)?
-            .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-        let ack = decode_ack(&frame)?;
-        let want = expected
-            .pop_front()
-            .expect("an ack is only awaited for an outstanding request");
-        match ack.status {
-            ACK_DONE if ack.reply == want => Ok(()),
-            ACK_DONE => Err(ServerError::Protocol(format!(
-                "reply mismatch: got {:?}, expected {:?}",
-                ack.reply, want
-            ))),
-            ACK_PANICKED => {
-                *panicked += 1;
-                Ok(())
-            }
-            other => Err(ServerError::Protocol(format!("unknown ack status {other}"))),
-        }
-    };
-    for event in generate_events(cfg) {
-        transport
-            .send(&encode_event_request(&event))
-            .map_err(ServerError::Io)?;
-        expected.push_back(Reply::for_event(&event));
-        if expected.len() >= window {
-            read_ack(transport, &mut expected, &mut panicked)?;
-        }
-    }
-    transport
-        .send(&encode_aggregate_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
-    while !expected.is_empty() {
-        read_ack(transport, &mut expected, &mut panicked)?;
-    }
+    let report = run_client_events(transport, &generate_events(cfg), window, false)?;
+    transport.send(&encode_aggregate_request())?;
+    transport.flush()?;
     let frame = recv_frame(transport)?
         .ok_or_else(|| ServerError::Protocol("server closed before the aggregate".into()))?;
     let aggregate = decode_aggregate_reply(&frame)?;
-    if aggregate.completed + panicked != cfg.events as u64 {
+    if aggregate.completed + report.panicked != cfg.events as u64 {
         return Err(ServerError::Protocol(format!(
-            "server completed {} + {panicked} panicked of {} events",
-            aggregate.completed, cfg.events
+            "server completed {} + {} panicked of {} events",
+            aggregate.completed, report.panicked, cfg.events
         )));
     }
     Ok(aggregate)
@@ -1102,57 +913,62 @@ pub fn run_client_events(
     let mut expected: VecDeque<Reply> = VecDeque::with_capacity(window);
     let mut sent_at: VecDeque<Instant> = VecDeque::new();
     let mut report = ClientReport::default();
-    let read_ack = |transport: &mut dyn Transport,
-                    expected: &mut VecDeque<Reply>,
-                    sent_at: &mut VecDeque<Instant>,
-                    report: &mut ClientReport|
-     -> Result<(), ServerError> {
-        let frame = recv_frame(transport)?
-            .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-        let ack = decode_ack(&frame)?;
-        let want = expected
-            .pop_front()
-            .expect("an ack is only awaited for an outstanding request");
+    let mut events = events.iter();
+    let mut closed = false;
+    loop {
+        if expected.len() < window && !closed {
+            if let Some(event) = events.next() {
+                transport.send(&encode_event_request(event))?;
+                report.sent += 1;
+                expected.push_back(Reply::for_event(event));
+                if record_latency {
+                    sent_at.push_back(Instant::now());
+                }
+                continue;
+            }
+            transport.send(&encode_drain_request())?;
+            transport.flush()?;
+            closed = true;
+        }
+        let Some(want) = expected.pop_front() else {
+            return Ok(report);
+        };
+        report.panicked += u64::from(read_ack(transport, Some(want), true)?);
         if let Some(at) = sent_at.pop_front() {
             report
                 .latencies_ns
                 .push(u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         report.acked += 1;
-        match ack.status {
-            ACK_DONE if ack.reply == want => Ok(()),
-            ACK_DONE => Err(ServerError::Protocol(format!(
-                "reply mismatch: got {:?}, expected {:?}",
-                ack.reply, want
-            ))),
-            ACK_PANICKED => {
-                report.panicked += 1;
-                Ok(())
-            }
-            other => Err(ServerError::Protocol(format!("unknown ack status {other}"))),
-        }
-    };
-    for event in events {
-        transport
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
-        report.sent += 1;
-        expected.push_back(Reply::for_event(event));
-        if record_latency {
-            sent_at.push_back(Instant::now());
-        }
-        if expected.len() >= window {
-            read_ack(transport, &mut expected, &mut sent_at, &mut report)?;
-        }
     }
-    transport
-        .send(&encode_drain_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
-    while !expected.is_empty() {
-        read_ack(transport, &mut expected, &mut sent_at, &mut report)?;
+}
+
+/// Reads the next ack and checks it against what the oldest outstanding
+/// request owes: `Some(reply)`, or `None` where its handler must have
+/// panicked. With `tolerate_panic`, a panicked handler may answer a
+/// `Some` too. Returns whether the handler panicked.
+pub(crate) fn read_ack(
+    transport: &mut dyn Transport,
+    want: Option<Reply>,
+    tolerate_panic: bool,
+) -> Result<bool, ServerError> {
+    let frame = recv_frame(transport)?
+        .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
+    let ack = decode_ack(&frame)?;
+    match (ack.status, want) {
+        (ACK_DONE, Some(want)) if ack.reply == want => Ok(false),
+        (ACK_PANICKED, None) => Ok(true),
+        (ACK_PANICKED, Some(_)) if tolerate_panic => Ok(true),
+        (ACK_DONE, Some(want)) => Err(ServerError::Protocol(format!(
+            "reply mismatch: got {:?}, expected {:?}",
+            ack.reply, want
+        ))),
+        (ACK_DONE | ACK_PANICKED, want) => Err(ServerError::Protocol(format!(
+            "ack mismatch: status {}, reply {:?}, expected {want:?}",
+            ack.status, ack.reply
+        ))),
+        (other, _) => Err(ServerError::Protocol(format!("unknown ack status {other}"))),
     }
-    Ok(report)
 }
 
 /// Requests the server's metrics text in-band on an idle protocol
@@ -1165,10 +981,8 @@ pub fn run_client_events(
 /// [`ServerError::Io`] on transport failure, [`ServerError::Protocol`] on a
 /// malformed reply or a server that closes instead of answering.
 pub fn run_metrics_probe(transport: &mut dyn Transport) -> Result<String, ServerError> {
-    transport
-        .send(&encode_metrics_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
+    transport.send(&encode_metrics_request())?;
+    transport.flush()?;
     let frame = recv_frame(transport)?
         .ok_or_else(|| ServerError::Protocol("server closed before the metrics reply".into()))?;
     decode_metrics_reply(&frame)
@@ -1178,8 +992,10 @@ pub fn run_metrics_probe(transport: &mut dyn Transport) -> Result<String, Server
 mod tests {
     use super::*;
     use crate::protocol_server::run_server;
-    use crate::transport::loopback_pair;
+    use crate::server::{serve_pool, PoolOptions};
+    use crate::transport::{loopback_pair, TcpTransport};
     use pdq_core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
+    use std::net::TcpListener;
 
     #[test]
     fn every_event_kind_roundtrips_through_the_codec() {
@@ -1354,15 +1170,16 @@ mod tests {
         let (mut client_end, mut server_end) = loopback_pair();
         let aggregate = std::thread::scope(|scope| {
             let server = scope.spawn(|| {
-                serve_durable(
+                serve_observed(
                     &service,
                     &mut server_end,
                     64,
-                    Durability::LogSnapshot {
+                    Durability::Log {
                         wal: &mut wal,
                         sync_every: 32,
                         snapshot_every: 512,
                     },
+                    None,
                 )
             });
             let aggregate = run_client(&mut client_end, &cfg, 128).expect("client run");
@@ -1396,7 +1213,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let tcp_aggregate = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, 32));
+            let server = scope.spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 32)));
             let stream = std::net::TcpStream::connect(addr).expect("connect");
             let mut transport = TcpTransport::new(stream).expect("transport");
             let aggregate = run_client(&mut transport, &cfg, 64).expect("client run");
@@ -1513,7 +1330,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, 4));
+            let server = scope.spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 4)));
             let mut stream = std::net::TcpStream::connect(addr).expect("connect");
             use std::io::Write;
             // Claim 100 payload bytes, deliver 3, then close.

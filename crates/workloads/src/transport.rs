@@ -87,10 +87,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME_LEN"),
-        ));
+        return Err(oversized(len));
     }
     let len = len as usize;
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
@@ -110,6 +107,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
         }
     }
     Ok(Some(payload))
+}
+
+/// The error both frame readers give a length prefix above
+/// [`MAX_FRAME_LEN`].
+fn oversized(len: u32) -> io::Error {
+    let message = format!("frame length {len} exceeds MAX_FRAME_LEN");
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 // ---------------------------------------------------------------------------
@@ -215,10 +219,7 @@ impl FrameDecoder {
         len_buf.copy_from_slice(&self.buf[self.head..self.head + 4]);
         let len = u32::from_le_bytes(len_buf);
         if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds MAX_FRAME_LEN"),
-            ));
+            return Err(oversized(len));
         }
         let len = len as usize;
         if self.buffered() < 4 + len {
@@ -279,21 +280,7 @@ impl FrameEncoder {
     /// An oversized payload is [`io::ErrorKind::InvalidInput`] and stages
     /// nothing.
     pub fn push_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&len| len <= MAX_FRAME_LEN)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "frame payload of {} bytes exceeds MAX_FRAME_LEN",
-                        payload.len()
-                    ),
-                )
-            })?;
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        Ok(())
+        write_frame(&mut self.buf, payload)
     }
 
     /// Writes staged bytes to `w` until the backlog drains or the stream

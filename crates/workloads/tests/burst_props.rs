@@ -21,9 +21,9 @@ use pdq_workloads::service::{
 };
 use pdq_workloads::transport::{read_frame, write_frame};
 use pdq_workloads::{
-    generate_events, reference_aggregate, replay, scan_bytes, serve, serve_durable, serve_tcp_once,
-    Durability, ExecutorService, FramedStream, ProtocolService, Reply, ServerAggregate,
-    ServerConfig, ServerError, SharedSink, Transport, WalWriter,
+    generate_events, reference_aggregate, replay, scan_bytes, serve, serve_observed, serve_pool,
+    Durability, ExecutorService, FramedStream, PoolOptions, ProtocolService, Reply,
+    ServerAggregate, ServerConfig, ServerError, SharedSink, Transport, WalWriter,
 };
 
 /// A stream's read half that hands out prepared chunks, one per `read`, then
@@ -170,7 +170,8 @@ fn a_buffered_partial_frame_still_flushes_the_pending_ack() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_tcp_once(&listener, &service, 1));
+        let server = scope
+            .spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 1)).map(|r| r.answered));
         let mut stream = raw_client(addr);
         let frames = framed(&requests(&events, encode_drain_request()));
         let started = Instant::now();
@@ -202,7 +203,8 @@ fn window_one_ping_pong_acks_each_request_on_its_own() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_tcp_once(&listener, &service, 1));
+        let server = scope
+            .spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 1)).map(|r| r.answered));
         let mut stream = raw_client(addr);
         let mut slowest = Duration::ZERO;
         for event in &events {
@@ -258,7 +260,7 @@ struct DurableRun {
 }
 
 /// Serves `transport` with window 16 and a log syncing every 7 events;
-/// `snapshot_every` 0 means `Durability::Log`.
+/// `snapshot_every` 0 takes no snapshots.
 fn durable_run(
     transport: &mut dyn Transport,
     snapshot_every: u64,
@@ -272,19 +274,12 @@ fn durable_run(
     if let Some(n) = crash_after {
         wal.arm_crash_after_events(n);
     }
-    let durability = if snapshot_every > 0 {
-        Durability::LogSnapshot {
-            wal: &mut wal,
-            sync_every: 7,
-            snapshot_every,
-        }
-    } else {
-        Durability::Log {
-            wal: &mut wal,
-            sync_every: 7,
-        }
+    let durability = Durability::Log {
+        wal: &mut wal,
+        sync_every: 7,
+        snapshot_every,
     };
-    let outcome = serve_durable(&service, transport, 16, durability);
+    let outcome = serve_observed(&service, transport, 16, durability, None);
     service.flush();
     let log = sink.image();
     let live = service.aggregate(scan_bytes(&log).total_events);

@@ -8,11 +8,15 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use pdq_core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
+use pdq_workloads::service::{
+    encode_aggregate_request, encode_drain_request, encode_event_request, encode_metrics_request,
+};
+use pdq_workloads::transport::{read_frame, write_frame};
 use pdq_workloads::{
-    client_config, generate_events, merged_reference_aggregate, pool_wal_dir, recover_dir,
-    reference_aggregate, replay, run_client_events, serve_poll, serve_pool, ExecutorService,
-    FrameDecoder, FrameEncoder, PollOptions, PoolOptions, PoolWal, ProtocolService, ServerConfig,
-    ServerError,
+    client_config, generate_events, loopback_pair, merged_reference_aggregate, pool_wal_dir,
+    recover_dir, reference_aggregate, replay, run_client_events, serve, serve_poll, serve_pool,
+    ExecutorService, FrameDecoder, FrameEncoder, PollOptions, PoolOptions, PoolWal,
+    ProtocolService, ServerConfig, ServerError, Transport,
 };
 use proptest::prelude::*;
 
@@ -307,4 +311,127 @@ fn poll_survives_a_mid_frame_disconnect() {
         service.aggregate(report.completed),
         reference_aggregate(&events, cfg.blocks)
     );
+}
+
+/// Serves one TCP connection on the pool tier (`poll` false) or the poll
+/// tier, writes `wire` in chunks of the given sizes (cycled), and reads
+/// `replies` frames back with a 5 s timeout, so a reply the server never
+/// sends fails the test instead of hanging it. Returns the reply bytes.
+fn tcp_script(poll: bool, wire: &[u8], chunks: &[usize], replies: usize) -> Vec<u8> {
+    let blocks = ServerConfig::quick().blocks;
+    let executor =
+        build_executor("pdq", &ExecutorSpec::new(2).capacity(64)).expect("registry executor");
+    let service = ExecutorService::new(executor.as_ref(), blocks);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::scope(|scope| {
+        let service = &service;
+        let server = scope.spawn(move || {
+            if poll {
+                serve_poll(&listener, service, &PollOptions::new(1, 1)).map(|_| ())
+            } else {
+                serve_pool(&listener, service, &PoolOptions::new(1, 8)).map(|_| ())
+            }
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut rest = wire;
+        for &chunk in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at(chunk.clamp(1, rest.len()));
+            stream.write_all(now).expect("request bytes");
+            rest = later;
+        }
+        let mut bytes = Vec::new();
+        for n in 0..replies {
+            let frame = read_frame(&mut stream)
+                .unwrap_or_else(|e| panic!("reply {n} of {replies} (poll={poll}): {e}"))
+                .expect("a reply frame");
+            write_frame(&mut bytes, &frame).unwrap();
+        }
+        drop(stream);
+        server.join().expect("server thread").expect("server ok");
+        bytes
+    })
+}
+
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for payload in payloads {
+        write_frame(&mut wire, payload).unwrap();
+    }
+    wire
+}
+
+/// Three events, then two aggregate requests in the same write: each
+/// aggregate gets its own reply, on both tiers — five frames.
+#[test]
+fn repeated_aggregates_get_one_reply_each_on_both_tiers() {
+    let events = generate_events(&ServerConfig::quick().events(3));
+    let mut requests: Vec<Vec<u8>> = events.iter().map(encode_event_request).collect();
+    requests.push(encode_aggregate_request());
+    requests.push(encode_aggregate_request());
+    let wire = framed(&requests);
+    for poll in [false, true] {
+        let replies = tcp_script(poll, &wire, &[wire.len()], 5);
+        let mut bytes = std::io::Cursor::new(replies);
+        let tags: Vec<u8> = std::iter::from_fn(|| read_frame(&mut bytes).unwrap())
+            .map(|frame| frame[0])
+            .collect();
+        assert_eq!(tags, [0x81, 0x81, 0x81, 0x82, 0x82], "poll={poll}");
+    }
+}
+
+/// One request script — events written in uneven chunks, a metrics probe
+/// while no acks are outstanding, a drain, more events and a final
+/// aggregate — gets the same reply bytes from the blocking driver over a
+/// loopback pair and from the readiness driver over TCP.
+#[test]
+fn both_drivers_emit_the_same_reply_bytes() {
+    let events = generate_events(&ServerConfig::quick().events(300));
+    let mut requests = vec![encode_metrics_request()];
+    requests.extend(events[..120].iter().map(encode_event_request));
+    requests.push(encode_drain_request());
+    requests.extend(events[120..].iter().map(encode_event_request));
+    requests.push(encode_aggregate_request());
+    // Replies: the metrics text (empty: unobserved), every ack, the
+    // aggregate. The drain has no frame of its own.
+    let replies = 1 + events.len() + 1;
+
+    let executor =
+        build_executor("pdq", &ExecutorSpec::new(2).capacity(64)).expect("registry executor");
+    let service = ExecutorService::new(executor.as_ref(), ServerConfig::quick().blocks);
+    let (mut client_end, mut server_end) = loopback_pair();
+    let blocking = std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve(&service, &mut server_end, 16));
+        for request in &requests {
+            client_end.send(request).expect("request");
+        }
+        let mut bytes = Vec::new();
+        for _ in 0..replies {
+            let frame = client_end.recv().expect("reply").expect("a reply frame");
+            write_frame(&mut bytes, &frame).unwrap();
+        }
+        drop(client_end);
+        server.join().expect("server thread").expect("server ok");
+        bytes
+    });
+
+    let wire = framed(&requests);
+    for chunks in [
+        vec![wire.len()],
+        vec![1, 7, 300, 2, 4096],
+        vec![3, 5, 11, 13],
+    ] {
+        let readiness = tcp_script(true, &wire, &chunks, replies);
+        assert!(
+            readiness == blocking,
+            "reply bytes differ (chunks {chunks:?})"
+        );
+    }
 }

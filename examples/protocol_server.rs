@@ -50,7 +50,7 @@ use pdq_repro::core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
 use pdq_repro::workloads::serve_pool;
 use pdq_repro::workloads::{
     client_config, generate_events, loopback_pair, merged_reference_aggregate, recover_dir, replay,
-    run_client, run_client_events, run_server, serve, serve_durable, ClientReport, Durability,
+    run_client, run_client_events, run_server, serve, serve_observed, ClientReport, Durability,
     ExecutorService, Observability, PoolOptions, PoolWal, ProtocolService, ServerAggregate,
     ServerConfig, ServerError, TcpTransport, WalWriter,
 };
@@ -129,19 +129,12 @@ fn run_one(
                         if let Some(n) = opts.crash_after {
                             writer.arm_crash_after_events(n);
                         }
-                        let durability = if opts.snapshot_every == 0 {
-                            Durability::Log {
-                                wal: &mut writer,
-                                sync_every: opts.sync_every,
-                            }
-                        } else {
-                            Durability::LogSnapshot {
-                                wal: &mut writer,
-                                sync_every: opts.sync_every,
-                                snapshot_every: opts.snapshot_every,
-                            }
+                        let durability = Durability::Log {
+                            wal: &mut writer,
+                            sync_every: opts.sync_every,
+                            snapshot_every: opts.snapshot_every,
                         };
-                        serve_durable(&service, &mut server_end, SERVICE_WINDOW, durability)
+                        serve_observed(&service, &mut server_end, SERVICE_WINDOW, durability, None)
                     }
                 });
                 let aggregate = run_client(&mut client_end, cfg, WINDOW);
