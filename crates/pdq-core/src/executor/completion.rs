@@ -5,11 +5,12 @@
 //!
 //! * **Completion slots** ([`CompletionHandle`] / [`attach`]): a per-job slot
 //!   that is resolved exactly once with a [`JobStatus`] when the job finishes
-//!   (or is dropped). Waiters can block ([`CompletionHandle::wait`]) or poll a
-//!   registered [`Waker`] (the handle is a [`Future`]) — both targeted
-//!   wakeups, no broadcast herd. A worker resolves a slot with one CAS and one
-//!   load: it takes the slot's lock and notifies only if a waiter announced
-//!   itself in the slot's `watched` flag.
+//!   (or is dropped). Waiters can block ([`CompletionHandle::wait`]) or
+//!   register a [`Waker`] ([`CompletionHandle::wake_on_finish`], which is
+//!   also the handle's [`Future`] poll) — targeted wakeups, no broadcast
+//!   herd. A worker resolves a slot with one CAS and one load: it takes the
+//!   slot's lock and notifies only if a waiter announced itself in the
+//!   slot's `watched` flag.
 //! * **Submission waiters** ([`SubmitWaiter`]): the backpressure primitive of
 //!   bounded executors. When a bounded queue is full, the executor parks the
 //!   submission (key + job + waiter) in a FIFO overflow list; when a slot
@@ -228,21 +229,25 @@ impl CompletionHandle {
             self.slot.cv.wait_for(&mut waiters, PARK_BACKSTOP);
         }
     }
+
+    /// Registers `waker` (replacing the one before) to be woken once the job
+    /// finishes, or, if it has, registers nothing and returns its status.
+    pub fn wake_on_finish(&self, waker: &Waker) -> Option<JobStatus> {
+        if let Some(status) = self.status() {
+            return Some(status);
+        }
+        let mut waiters = self.slot.waiters.lock();
+        waiters.waker = Some(waker.clone());
+        self.slot.watch()
+    }
 }
 
 impl Future for CompletionHandle {
     type Output = JobStatus;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(status) = self.status() {
-            return Poll::Ready(status);
-        }
-        let mut waiters = self.slot.waiters.lock();
-        waiters.waker = Some(cx.waker().clone());
-        match self.slot.watch() {
-            Some(status) => Poll::Ready(status),
-            None => Poll::Pending,
-        }
+        self.wake_on_finish(cx.waker())
+            .map_or(Poll::Pending, Poll::Ready)
     }
 }
 
@@ -647,6 +652,12 @@ thread_local! {
     static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
 }
 
+/// The calling thread's waker, the one [`block_on`] polls with: waking it
+/// unparks this thread. Only its first use on a thread allocates.
+pub fn thread_waker() -> Waker {
+    THREAD_WAKER.with(Waker::clone)
+}
+
 /// Drives a single future to completion on the calling thread.
 ///
 /// A dependency-free `block_on` for programs and tests that have no async
@@ -724,6 +735,58 @@ mod tests {
         });
         assert_eq!(block_on(handle), JobStatus::Done);
         t.join().unwrap();
+    }
+
+    /// A waker that counts its wake-ups.
+    #[derive(Default)]
+    struct CountWakes(std::sync::atomic::AtomicUsize);
+
+    impl Wake for CountWakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
+    fn counting_waker() -> (Arc<CountWakes>, Waker) {
+        let count = Arc::new(CountWakes::default());
+        (Arc::clone(&count), Waker::from(count))
+    }
+
+    #[test]
+    fn wake_on_finish_registers_nothing_on_a_resolved_slot() {
+        let (job, handle) = attach(Box::new(|| {}));
+        job();
+        let (count, waker) = counting_waker();
+        assert_eq!(handle.wake_on_finish(&waker), Some(JobStatus::Done));
+        assert!(handle.slot.waiters.lock().waker.is_none());
+        assert!(!handle.slot.watched.load(SeqCst));
+        assert_eq!(count.0.load(SeqCst), 0);
+    }
+
+    #[test]
+    fn wake_on_finish_fires_once_after_a_later_resolve() {
+        let (job, handle) = attach(Box::new(|| {}));
+        let (count, waker) = counting_waker();
+        assert_eq!(handle.wake_on_finish(&waker), None);
+        assert_eq!(count.0.load(SeqCst), 0);
+        job();
+        assert_eq!(count.0.load(SeqCst), 1);
+        assert_eq!(handle.wake_on_finish(&waker), Some(JobStatus::Done));
+        drop(handle);
+        assert_eq!(count.0.load(SeqCst), 1);
+    }
+
+    #[test]
+    fn wake_on_finish_replaces_the_earlier_waker() {
+        let (job, handle) = attach(Box::new(|| {}));
+        let (first, first_waker) = counting_waker();
+        let (second, second_waker) = counting_waker();
+        assert_eq!(handle.wake_on_finish(&first_waker), None);
+        assert_eq!(handle.wake_on_finish(&second_waker), None);
+        // The slot let go of the first waker when the second replaced it.
+        assert_eq!(Arc::strong_count(&first), 2);
+        job();
+        assert_eq!((first.0.load(SeqCst), second.0.load(SeqCst)), (0, 1));
     }
 
     #[test]

@@ -43,8 +43,8 @@ mod sharded;
 mod spinlock;
 
 pub use completion::{
-    attach, attach_returning, block_on, CompletionHandle, JobError, JobStatus, SubmitFuture,
-    SubmitWaiter, TypedFuture, TypedHandle,
+    attach, attach_returning, block_on, thread_waker, CompletionHandle, JobError, JobStatus,
+    SubmitFuture, SubmitWaiter, TypedFuture, TypedHandle,
 };
 pub use multiqueue::{MultiQueueExecutor, MultiQueueStats};
 pub use pdq::{PdqBuilder, PdqExecutor, PdqExecutorStats};

@@ -4,12 +4,14 @@
 //! wrapped around it show up in the serving path's throughput. This binary
 //! counts them with a counting global allocator: a value-returning request
 //! (`attach_returning`, run, `wait`) costs the slot and the job box, and
-//! waiting on an already-resolved `TypedFuture` costs nothing.
+//! waiting on an already-resolved `TypedFuture` costs nothing; nor does
+//! registering a thread's waker on a slot and being woken through it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Duration;
 
-use pdq_core::executor::{attach_returning, TypedFuture};
+use pdq_core::executor::{attach, attach_returning, thread_waker, JobStatus, TypedFuture};
 
 struct Counting;
 
@@ -73,4 +75,21 @@ fn waiting_on_a_resolved_future_allocates_nothing() {
     let (value, allocs) = allocations(|| future.wait());
     assert_eq!(value, Ok(7));
     assert_eq!(allocs, 0, "TypedFuture::wait allocated");
+}
+
+#[test]
+fn registering_a_waker_and_being_woken_allocates_nothing() {
+    // The first use on a thread builds its reusable waker.
+    let waker = thread_waker();
+    let (job, handle) = attach(Box::new(|| {}));
+    let (status, allocs) = allocations(|| {
+        assert_eq!(handle.wake_on_finish(&waker), None);
+        // Resolving on this thread counts the wake-up's side too; the park
+        // takes the token it left.
+        job();
+        std::thread::park_timeout(Duration::from_secs(1));
+        handle.wake_on_finish(&waker)
+    });
+    assert_eq!(status, Some(JobStatus::Done));
+    assert_eq!(allocs, 0, "registering or waking allocated");
 }

@@ -13,7 +13,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pdq_core::executor::{attach, attach_returning, block_on, Job, JobStatus, TypedFuture};
+use pdq_core::executor::{
+    attach, attach_returning, block_on, thread_waker, Job, JobStatus, TypedFuture,
+};
 
 const ROUNDS: u64 = 10_000;
 /// Half the backstop: a wait that returns later than this after the
@@ -88,7 +90,7 @@ fn no_wait_outlives_its_resolution_by_half_the_backstop() {
         rng ^= rng << 17;
         rng
     };
-    let mut worst = [Duration::ZERO; 4];
+    let mut worst = [Duration::ZERO; 5];
     for round in 0..ROUNDS {
         for (path, worst) in worst.iter_mut().enumerate() {
             let (resolver_delay, waiter_delay) = (next() % 4096, next() % 512);
@@ -111,10 +113,23 @@ fn no_wait_outlives_its_resolution_by_half_the_backstop() {
                     let (job, handle) = attach_returning(move || round);
                     (job, Box::new(move || assert_eq!(handle.wait(), Ok(round))))
                 }
-                _ => {
+                3 => {
                     let (job, handle) = attach_returning(move || round);
                     let future = TypedFuture::from(handle);
                     (job, Box::new(move || assert_eq!(future.wait(), Ok(round))))
+                }
+                // A poll worker's idle wait: register this thread's
+                // waker, park, look again. The park is the backstop's length,
+                // so only the resolver's wake-up ends it inside `LIMIT`.
+                _ => {
+                    let (job, handle) = attach(Box::new(|| {}));
+                    let wait = move || {
+                        let waker = thread_waker();
+                        while handle.wake_on_finish(&waker).is_none() {
+                            std::thread::park_timeout(2 * LIMIT);
+                        }
+                    };
+                    (job, Box::new(wait))
                 }
             };
             resolver.resolve(job, resolver_delay);

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use pdq_core::executor::{JobError, TypedFuture};
+use pdq_core::executor::{CompletionHandle, JobError, TypedFuture};
 use pdq_dsm::ProtocolEvent;
 
 use crate::metrics::ConnObs;
@@ -130,11 +130,15 @@ impl<'a> Conn<'a> {
         self.pending.extend(replies);
     }
 
+    /// The completion handle of the oldest call, the one acked next.
+    pub(crate) fn oldest(&self) -> Option<&CompletionHandle> {
+        self.pending.front().map(TypedFuture::handle)
+    }
+
     /// Whether the oldest call has run, so acking it would not block.
     pub(crate) fn oldest_finished(&self) -> bool {
-        self.pending
-            .front()
-            .is_some_and(|reply| reply.handle().status().is_some())
+        self.oldest()
+            .is_some_and(|handle| handle.status().is_some())
     }
 
     /// Resolves the oldest in-flight call, blocking until it has run, and

@@ -40,6 +40,10 @@
 //! suspension is counted ([`PollReport::suspensions`]) so backpressure is
 //! observable, not inferred.
 //!
+//! A worker whose sweep moved nothing registers its thread's waker on each
+//! connection's oldest admitted call ([`CompletionHandle::wake_on_finish`])
+//! and parks until the first one finishes; with none admitted, it sleeps.
+//!
 //! # Determinism
 //!
 //! Handler effects are commutative, so the merged aggregate of an N-client
@@ -56,7 +60,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use pdq_core::executor::SubmitBatch;
+use pdq_core::executor::{thread_waker, CompletionHandle, SubmitBatch};
 use pdq_sim::DetRng;
 
 use crate::conn::Conn;
@@ -71,10 +75,10 @@ use crate::wal::WalWriter;
 /// never drains replies must not grow the outgoing buffer without bound.
 const ENCODER_WRITE_WATERMARK: usize = 64 * 1024;
 
-/// How long an idle poll worker sleeps when a full sweep over its
-/// connections made no progress (no bytes moved, no jobs admitted, no acks
-/// resolved). Small enough to keep added reply latency in the hundreds of
-/// microseconds, large enough not to spin a core per worker.
+/// How long a poll worker sleeps when a sweep made no progress (no bytes
+/// moved, no jobs admitted, no acks resolved) and no call is admitted, and
+/// the backstop of its park when one is. Small enough to keep added reply
+/// latency in the hundreds of microseconds, large enough not to spin a core.
 const IDLE_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Per-connection write-ahead-log configuration for [`serve_pool`]: each
@@ -377,6 +381,12 @@ impl PollConn {
             && self.encoder.staged() < ENCODER_WRITE_WATERMARK
     }
 
+    /// The oldest call, unless it is parked (the parked calls are a suffix).
+    fn oldest_admitted(&self) -> Option<&CompletionHandle> {
+        let admitted = self.conn.in_flight() > self.parked.len();
+        self.conn.oldest().filter(|_| admitted)
+    }
+
     /// At EOF, with no frame, control request, call or reply left.
     fn done(&self) -> bool {
         self.eof
@@ -558,8 +568,23 @@ fn poll_worker(
             }
         }
         if !progress {
-            std::thread::sleep(IDLE_BACKOFF);
+            idle(&conns);
         }
+    }
+}
+
+/// Waits out a sweep that made no progress: parks until the first oldest
+/// admitted call finishes (not at all if one already has), or, with none
+/// admitted, sleeps. A lost or stale wake-up costs at most one plain wait.
+fn idle(conns: &[PollConn]) {
+    let mut admitted = conns
+        .iter()
+        .filter_map(PollConn::oldest_admitted)
+        .peekable();
+    if admitted.peek().is_none() {
+        std::thread::sleep(IDLE_BACKOFF);
+    } else if admitted.all(|oldest| oldest.wake_on_finish(&thread_waker()).is_none()) {
+        std::thread::park_timeout(IDLE_BACKOFF);
     }
 }
 
