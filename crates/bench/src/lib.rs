@@ -19,7 +19,7 @@
 //!
 //! Every binary is a one-line call into [`runner::run`], which hands the
 //! experiment's simulation grid to the [`sweep::SweepEngine`]: cells run in
-//! parallel on a `ShardedPdqExecutor` (the reproduction's own runtime — the
+//! parallel on a sharded `PdqExecutor` (the reproduction's own runtime — the
 //! experiment grid is its first real multi-core workload) and results are
 //! memoized so shared baselines are simulated once per process. All binaries
 //! accept `--json [PATH]` (or `PDQ_JSON=PATH`) to emit structured JSON next

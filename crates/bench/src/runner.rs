@@ -154,16 +154,11 @@ pub struct EnvConfig {
     pub scale: WorkloadScale,
     /// `PDQ_REPLICATES`: sweep-grid replicates.
     pub replicates: usize,
-    /// `PDQ_RING`: `NoSync` ring fast-path toggle (`None` = executor
-    /// default, enabled). The executors re-read `PDQ_RING` themselves at
-    /// build time; this field exists so a malformed value fails the run up
-    /// front with exit code 2 instead of panicking a builder mid-experiment.
-    pub ring: Option<bool>,
 }
 
 impl EnvConfig {
-    /// Reads and validates `PDQ_WORKERS`, `PDQ_SCALE`, `PDQ_REPLICATES`, and
-    /// `PDQ_RING`. Malformed or out-of-range values are rejected with a
+    /// Reads and validates `PDQ_WORKERS`, `PDQ_SCALE`, and `PDQ_REPLICATES`.
+    /// Malformed or out-of-range values are rejected with a
     /// message naming the variable, the offending value, and the accepted
     /// range — never silently replaced with a default.
     pub fn from_env() -> Result<Self, String> {
@@ -171,7 +166,6 @@ impl EnvConfig {
             workers: env_workers()?,
             scale: env_scale()?,
             replicates: env_replicates()?,
-            ring: pdq_core::executor::ring_enabled_from_env()?,
         })
     }
 
@@ -274,8 +268,7 @@ fn parse_args(
                      PDQ_JSON=PATH same as --json PATH; PDQ_SCALE=F workload\n\
                      scale in [0.05, 4.0]; PDQ_WORKERS=N sweep worker threads\n\
                      in 1..=512; PDQ_REPLICATES=N sweep-grid replicates in\n\
-                     1..=16 (default 2); PDQ_RING=0|1 NoSync ring fast path\n\
-                     off/on (default 1). Malformed or out-of-range values are\n\
+                     1..=16 (default 2). Malformed or out-of-range values are\n\
                      rejected, not silently replaced.",
                     experiment.name(),
                     experiment.name(),
@@ -495,22 +488,6 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         // Negative worker counts are malformed for an unsigned parse.
         assert!(parse_env_value("PDQ_WORKERS", Some("-2"), 1usize, 512).is_err());
-    }
-
-    #[test]
-    fn ring_toggle_is_validated_like_the_other_env_values() {
-        // PDQ_RING shares the fail-loudly contract: only "0"/"1" (or
-        // unset/empty) are accepted. The pure parser from pdq-core is the
-        // exact function `EnvConfig::from_env` delegates to, exercised here
-        // without touching the process environment.
-        use pdq_core::executor::parse_ring_value;
-        assert_eq!(parse_ring_value(""), Ok(None));
-        assert_eq!(parse_ring_value("0"), Ok(Some(false)));
-        assert_eq!(parse_ring_value("1"), Ok(Some(true)));
-        for bad in ["true", "false", "on", "2", " 1"] {
-            let err = parse_ring_value(bad).unwrap_err();
-            assert!(err.contains("PDQ_RING"), "{err}");
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ const LOCAL_ACCESS_COST: u64 = 1;
 /// choice downstream draws from that explicitly seeded stream — there is no
 /// global or thread-local state. Calls with equal arguments therefore return
 /// equal reports from any thread, which is what lets the sweep engine in
-/// `pdq-bench` fan simulation cells out across a `ShardedPdqExecutor` and
+/// `pdq-bench` fan simulation cells out across a sharded `PdqExecutor` and
 /// still reproduce a sequential sweep exactly.
 pub fn simulate(config: ClusterConfig, app: AppKind, scale: WorkloadScale) -> SimReport {
     let workload = Workload::generate(app, config.topology, scale, config.seed);

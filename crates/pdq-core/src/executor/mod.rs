@@ -7,23 +7,22 @@
 //!
 //! * [`PdqExecutor`] (`"pdq"`) — the paper's proposal: one shared queue,
 //!   handlers are synchronized *in the queue* before dispatch. Workers never
-//!   block inside a handler.
-//! * [`ShardedPdqExecutor`] (`"sharded-pdq"`) — the same abstraction over N
-//!   independent queue shards (keys are hashed onto shards, `Sequential`
-//!   escalates to a global barrier), so submit/dispatch/complete no longer
-//!   serialize on one queue mutex and throughput keeps scaling with workers.
+//!   block inside a handler. Registered a second time as `"sharded-pdq"`,
+//!   the same executor over N queue shards (keys are hashed onto shards,
+//!   `Sequential` escalates to a global barrier), so submit/dispatch/complete
+//!   no longer serialize on one queue mutex.
 //! * [`SpinLockExecutor`] (`"spinlock"`) — the conventional alternative: one
 //!   shared queue, workers acquire a per-key spin lock *inside* the handler
 //!   (Figure 2, right). Conflicting handlers busy-wait on the lock.
 //! * [`MultiQueueExecutor`] (`"multiqueue"`) — static partitioning: keys are
 //!   hashed onto one queue per worker and each worker only serves its own
 //!   queue (the multiple-protocol-queues model the paper argues against;
-//!   Michael et al. observed it suffers from load imbalance). Unlike the
+//!   Michael et al. observed it suffers from load imbalance). Unlike a
 //!   sharded PDQ executor, a queue here has exactly one worker, and
 //!   `Sequential` gets only a weaker pinned-to-one-worker guarantee.
 //!
-//! The quoted names are the registry keys of [`build_executor`]; adding a
-//! fifth executor means implementing [`Executor`] and listing it there —
+//! The quoted names are the registry keys of [`build_executor`]; adding
+//! another executor means implementing [`Executor`] and listing it there —
 //! every consumer that goes through the trait picks it up unchanged.
 //!
 //! The [`completion`] module provides the notification layer shared by all
@@ -33,8 +32,10 @@
 //! [`ExecutorExt::submit_async_returning`] ([`TypedHandle`] /
 //! [`TypedFuture`]). [`SubmitBatch`] and
 //! [`Executor::try_submit_batch`] amortize the dispatch lock over whole
-//! keyed slices instead of paying it per job.
+//! keyed slices instead of paying it per job; the `admission` module holds
+//! the overflow FIFO and the routed batch pass the executors share.
 
+mod admission;
 pub mod completion;
 mod multiqueue;
 mod park;
@@ -48,7 +49,6 @@ pub use completion::{
 };
 pub use multiqueue::{MultiQueueExecutor, MultiQueueStats};
 pub use pdq::{PdqBuilder, PdqExecutor, PdqExecutorStats};
-pub use sharded::{ShardedPdqBuilder, ShardedPdqExecutor, ShardedPdqStats};
 pub use spinlock::{SpinLockExecutor, SpinLockStats};
 
 use std::collections::VecDeque;
@@ -113,8 +113,8 @@ impl std::fmt::Display for TrySubmitError {
 /// Submitting fine-grain handlers one at a time pays the executor's dispatch
 /// lock (or shard routing) once per job. A `SubmitBatch` lets the caller hand
 /// an entire keyed slice to [`Executor::try_submit_batch`], which admits it
-/// under one dispatch-lock acquisition (one pass over the shards, for the
-/// sharded executors) — the per-job submission overhead is amortized over
+/// under one dispatch-lock acquisition (one pass over the queues, for the
+/// executors with several) — the per-job submission overhead is amortized over
 /// the batch.
 ///
 /// Entries are admitted strictly in push order from the front. Entries that
@@ -335,9 +335,10 @@ pub trait Executor: Send + Sync + std::fmt::Debug {
     /// job is handed back); [`TrySubmitError::Shutdown`] after
     /// [`shutdown`](Self::shutdown).
     ///
-    /// The sharded executor accepts `Sequential` submissions unconditionally
-    /// (the barrier stubs use the parked-admission path), so `WouldBlock` is
-    /// only returned for `Key`/`NoSync` jobs there.
+    /// A [`PdqExecutor`] with several shards accepts `Sequential`
+    /// submissions unconditionally (the barrier stubs use the
+    /// parked-admission path), so `WouldBlock` is only returned for
+    /// `Key`/`NoSync` jobs there.
     fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError>;
 
     /// Submits a job, transferring ownership immediately and signalling
@@ -617,8 +618,9 @@ pub const EXECUTOR_NAMES: [&str; 4] = ["pdq", "sharded-pdq", "spinlock", "multiq
 pub struct ExecutorSpec {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Queue shard count (`"sharded-pdq"` only; defaults to the builder's
-    /// worker-derived count).
+    /// Queue shard count of `"sharded-pdq"`; `None` means `max(1, workers /
+    /// 4)`, enough shards to spread the queue locks while leaving each shard
+    /// several workers. `"pdq"` is always one shard.
     pub shards: Option<usize>,
     /// Bound on waiting submissions (per queue/shard where the executor has
     /// several); `None` means unbounded.
@@ -626,8 +628,7 @@ pub struct ExecutorSpec {
     /// Associative search window of the dispatch queue (PDQ family only).
     pub search_window: Option<usize>,
     /// Whether `NoSync` jobs may use the lock-free ring fast path (PDQ
-    /// family only). `None` defers to the `PDQ_RING` environment variable
-    /// (see [`ring_enabled_from_env`]), defaulting to enabled.
+    /// family only). `None` means enabled.
     pub ring: Option<bool>,
 }
 
@@ -665,8 +666,7 @@ impl ExecutorSpec {
         self
     }
 
-    /// Forces the `NoSync` ring fast path on or off (PDQ family), overriding
-    /// the `PDQ_RING` environment variable.
+    /// Turns the `NoSync` ring fast path on or off (PDQ family).
     #[must_use]
     pub fn ring(mut self, enabled: bool) -> Self {
         self.ring = Some(enabled);
@@ -674,86 +674,27 @@ impl ExecutorSpec {
     }
 }
 
-/// Reads the `PDQ_RING` environment variable: `"1"` enables the lock-free
-/// `NoSync` ring fast path, `"0"` disables it, unset (or empty) expresses no
-/// preference. Any other value is an error — like `PDQ_WORKERS`, a malformed
-/// toggle must be rejected loudly, not silently defaulted, or an A/B byte-diff
-/// run could compare a configuration against itself.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the variable and the offending
-/// value.
-pub fn ring_enabled_from_env() -> Result<Option<bool>, String> {
-    match std::env::var("PDQ_RING") {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(format!(
-            "PDQ_RING must be 0 or 1, got non-unicode value {raw:?}"
-        )),
-        Ok(raw) => parse_ring_value(&raw),
-    }
-}
-
-/// Validates one `PDQ_RING` value: empty means unset, otherwise it must be
-/// exactly `"0"` or `"1"`. Pure function of its argument so frontends can
-/// unit-test their rejection paths without touching the process environment.
-pub fn parse_ring_value(raw: &str) -> Result<Option<bool>, String> {
-    match raw {
-        "" => Ok(None),
-        "0" => Ok(Some(false)),
-        "1" => Ok(Some(true)),
-        other => Err(format!("PDQ_RING must be 0 or 1, got {other:?}")),
-    }
-}
-
-/// Resolves a builder's ring override against the environment: an explicit
-/// builder/spec setting wins, then `PDQ_RING`, then the default (enabled).
-///
-/// Panics on a malformed `PDQ_RING` — builders have no error channel, and a
-/// silently defaulted toggle would invalidate A/B comparisons. Frontends that
-/// want a clean exit instead validate via [`ring_enabled_from_env`] first.
-pub(super) fn resolve_ring(builder_override: Option<bool>) -> bool {
-    builder_override.unwrap_or_else(|| {
-        ring_enabled_from_env()
-            .unwrap_or_else(|msg| panic!("{msg}"))
-            .unwrap_or(true)
-    })
-}
-
 /// Builds one of the built-in executors by registry name (see
 /// [`EXECUTOR_NAMES`]). Returns `None` for an unknown name.
 ///
 /// This is the single construction point consumed by the benchmarks, the
-/// sweep engine, and the `protocol_server` workload, so a fifth executor
+/// sweep engine, and the `protocol_server` workload, so a new executor
 /// becomes available everywhere by registering it here.
 pub fn build_executor(name: &str, spec: &ExecutorSpec) -> Option<Box<dyn Executor>> {
     Some(match name {
-        "pdq" => {
-            let mut b = PdqBuilder::new().workers(spec.workers);
-            if let Some(w) = spec.search_window {
-                b = b.search_window(w);
-            }
-            if let Some(c) = spec.capacity {
-                b = b.capacity(c);
-            }
-            if let Some(r) = spec.ring {
-                b = b.ring(r);
-            }
-            Box::new(b.build())
-        }
-        "sharded-pdq" => {
-            let mut b = ShardedPdqBuilder::new().workers(spec.workers);
-            if let Some(s) = spec.shards {
-                b = b.shards(s);
+        "pdq" | "sharded-pdq" => {
+            let mut b = PdqBuilder::new()
+                .workers(spec.workers)
+                .ring(spec.ring.unwrap_or(true));
+            if name == "sharded-pdq" {
+                b = b.shards(spec.shards.unwrap_or((spec.workers / 4).max(1)));
+                b.name = "sharded-pdq";
             }
             if let Some(w) = spec.search_window {
                 b = b.search_window(w);
             }
             if let Some(c) = spec.capacity {
                 b = b.capacity(c);
-            }
-            if let Some(r) = spec.ring {
-                b = b.ring(r);
             }
             Box::new(b.build())
         }
@@ -795,19 +736,6 @@ mod tests {
     #[test]
     fn factory_rejects_unknown_names() {
         assert!(build_executor("bogus", &ExecutorSpec::new(1)).is_none());
-    }
-
-    #[test]
-    fn ring_toggle_parses_strictly() {
-        // The parser is exercised directly (not via set_var) so this test
-        // cannot race other tests that build executors in parallel.
-        assert_eq!(parse_ring_value(""), Ok(None));
-        assert_eq!(parse_ring_value("0"), Ok(Some(false)));
-        assert_eq!(parse_ring_value("1"), Ok(Some(true)));
-        assert!(parse_ring_value("yes").is_err());
-        assert!(parse_ring_value("2").is_err());
-        assert!(parse_ring_value(" 1").is_err());
-        assert!(parse_ring_value("true").unwrap_err().contains("PDQ_RING"));
     }
 
     #[test]

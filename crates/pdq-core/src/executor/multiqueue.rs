@@ -6,10 +6,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::key::SyncKey;
 
+use super::admission::{admit_routed, key_route, Overflow};
 use super::completion::SubmitWaiter;
 use super::park::{WorkerPark, PARK_BACKSTOP};
 use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
@@ -54,11 +55,11 @@ impl MultiQueueStats {
     }
 }
 
+#[derive(Default)]
 struct QueueInner {
     jobs: VecDeque<Job>,
-    /// FIFO of submissions parked behind this queue's capacity bound; the
-    /// queue's worker admits from the front as it frees slots.
-    overflow: VecDeque<(Job, Arc<SubmitWaiter>)>,
+    /// Submissions parked behind this queue's capacity bound.
+    overflow: Overflow,
     /// Park accounting for this queue's one worker. Maintained under the
     /// queue lock, so submitters can skip the wakeup when the worker is awake
     /// anyway (it re-checks the queue before parking) or already being woken
@@ -75,6 +76,7 @@ struct WorkerQueue {
     executed: AtomicU64,
 }
 
+#[derive(Default)]
 struct IdleState {
     /// Jobs submitted (queued, parked, or running) but not yet finished.
     outstanding: usize,
@@ -131,20 +133,13 @@ impl MultiQueueExecutor {
         let shared = Arc::new(Shared {
             queues: (0..workers)
                 .map(|_| WorkerQueue {
-                    inner: Mutex::new(QueueInner {
-                        jobs: VecDeque::new(),
-                        overflow: VecDeque::new(),
-                        park: WorkerPark::default(),
-                    }),
+                    inner: Mutex::new(QueueInner::default()),
                     work: Condvar::new(),
                     max_depth: AtomicUsize::new(0),
                     executed: AtomicU64::new(0),
                 })
                 .collect(),
-            idle_state: Mutex::new(IdleState {
-                outstanding: 0,
-                idle_waiters: 0,
-            }),
+            idle_state: Mutex::new(IdleState::default()),
             idle: Condvar::new(),
             panicked: AtomicU64::new(0),
             spurious_wakeups: AtomicU64::new(0),
@@ -187,10 +182,45 @@ impl MultiQueueExecutor {
         }
     }
 
+    /// Submits one job to its queue if the queue has room. Otherwise the job
+    /// is handed back, or — given a `waiter` — parked behind the queue's
+    /// capacity bound (after shutdown: dropped, and `waiter` aborted).
+    fn submit_one(
+        &self,
+        key: SyncKey,
+        job: Job,
+        waiter: Option<Arc<SubmitWaiter>>,
+    ) -> Result<(), TrySubmitError> {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            let Some(waiter) = waiter else {
+                return Err(TrySubmitError::Shutdown(job));
+            };
+            drop(job);
+            waiter.abort();
+            return Ok(());
+        }
+        self.shared.add_outstanding(1);
+        let mut job = Some(job);
+        let (_, mut inner) = self.shared.push(self.target_worker(key), || job.take());
+        match (job, waiter) {
+            (None, waiter) => {
+                drop(inner);
+                waiter.inspect(|w| w.admit());
+            }
+            (Some(job), Some(waiter)) => inner.overflow.park(key, job, waiter),
+            (Some(job), None) => {
+                drop(inner);
+                self.shared.finish_outstanding(1);
+                return Err(TrySubmitError::WouldBlock(job));
+            }
+        }
+        Ok(())
+    }
+
     fn target_worker(&self, key: SyncKey) -> usize {
         let n = self.shared.queues.len();
         match key {
-            SyncKey::Key(k) => (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % n,
+            SyncKey::Key(k) => key_route(k, n),
             SyncKey::Sequential => 0,
             SyncKey::NoSync => self.shared.round_robin.fetch_add(1, Ordering::Relaxed) % n,
         }
@@ -198,6 +228,41 @@ impl MultiQueueExecutor {
 }
 
 impl Shared {
+    /// Whether `inner` may take a job now: nothing parked ahead of it, and
+    /// room under the capacity bound.
+    fn has_room(&self, inner: &QueueInner) -> bool {
+        inner.overflow.is_empty() && self.capacity.is_none_or(|cap| inner.jobs.len() < cap)
+    }
+
+    /// Pushes jobs from `next` onto queue `idx` while it has room, under one
+    /// lock acquisition, and returns how many it pushed with the lock still
+    /// held (a refused submission is parked under that same lock).
+    fn push(
+        &self,
+        idx: usize,
+        mut next: impl FnMut() -> Option<Job>,
+    ) -> (usize, MutexGuard<'_, QueueInner>) {
+        let q = &self.queues[idx];
+        let mut inner = q.inner.lock();
+        let mut pushed = 0;
+        while self.has_room(&inner) {
+            let Some(job) = next() else { break };
+            inner.jobs.push_back(job);
+            pushed += 1;
+        }
+        if pushed > 0 {
+            // Signalled under the lock: the parked flag and the wait are
+            // protected by the same mutex, so the wakeup provably reaches a
+            // worker that is (still) parked — a notify after unlocking could
+            // instead land after a timeout re-park and count as spurious.
+            if inner.park.claim_one() {
+                q.work.notify_one();
+            }
+            q.max_depth.fetch_max(inner.jobs.len(), Ordering::Relaxed);
+        }
+        (pushed, inner)
+    }
+
     fn add_outstanding(&self, n: usize) {
         self.idle_state.lock().outstanding += n;
     }
@@ -223,133 +288,36 @@ impl Executor for MultiQueueExecutor {
     }
 
     fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(TrySubmitError::Shutdown(job));
-        }
-        let idx = self.target_worker(key);
-        let q = &self.shared.queues[idx];
-        self.shared.add_outstanding(1);
-        let depth = {
-            let mut inner = q.inner.lock();
-            let full = !inner.overflow.is_empty()
-                || self
-                    .shared
-                    .capacity
-                    .is_some_and(|cap| inner.jobs.len() >= cap);
-            if full {
-                drop(inner);
-                self.shared.finish_outstanding(1);
-                return Err(TrySubmitError::WouldBlock(job));
-            }
-            inner.jobs.push_back(job);
-            // Signalled under the lock: the parked flag and the wait are
-            // protected by the same mutex, so the wakeup provably reaches a
-            // worker that is (still) parked — a notify after unlocking could
-            // instead land after a timeout re-park and count as spurious.
-            if inner.park.claim_one() {
-                q.work.notify_one();
-            }
-            inner.jobs.len()
-        };
-        q.max_depth.fetch_max(depth, Ordering::Relaxed);
-        Ok(())
+        self.submit_one(key, job, None)
     }
 
     fn submit_queued(&self, key: SyncKey, job: Job, waiter: Arc<SubmitWaiter>) {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            drop(job);
-            waiter.abort();
-            return;
-        }
-        let idx = self.target_worker(key);
-        let q = &self.shared.queues[idx];
-        self.shared.add_outstanding(1);
-        let mut inner = q.inner.lock();
-        let full = !inner.overflow.is_empty()
-            || self
-                .shared
-                .capacity
-                .is_some_and(|cap| inner.jobs.len() >= cap);
-        if full {
-            inner.overflow.push_back((job, waiter));
-        } else {
-            inner.jobs.push_back(job);
-            let depth = inner.jobs.len();
-            // Under the lock for the same exactness argument as try_submit.
-            if inner.park.claim_one() {
-                q.work.notify_one();
-            }
-            drop(inner);
-            q.max_depth.fetch_max(depth, Ordering::Relaxed);
-            waiter.admit();
-        }
+        let _ = self.submit_one(key, job, Some(waiter));
     }
 
-    /// Admits the batch in one pass over the per-worker queues: entries are
-    /// routed in batch order, each queue's slice is enqueued under a single
-    /// lock acquisition, and a queue that refuses an entry is fed nothing
-    /// further from this batch (a key always routes to the same queue, so
-    /// per-key FIFO is preserved).
+    /// Admits the batch in one pass over the per-worker queues (see
+    /// `admit_routed`), one lock acquisition per queue's slice.
     fn try_submit_batch(&self, batch: &mut SubmitBatch) -> usize {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return 0;
         }
-        let n = self.shared.queues.len();
-        let mut pending: Vec<Vec<(usize, SyncKey, Job)>> = (0..n).map(|_| Vec::new()).collect();
-        for (idx, (key, job)) in batch.entries.drain(..).enumerate() {
-            let worker = self.target_worker(key);
-            pending[worker].push((idx, key, job));
-        }
-        let mut remaining: Vec<(usize, SyncKey, Job)> = Vec::new();
-        let mut admitted_total = 0usize;
-        for (worker, items) in pending.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            // Mirror `try_submit`: outstanding covers the whole slice before
+        let shared = &self.shared;
+        let admit = |worker: usize, entries: &mut VecDeque<(SyncKey, Job)>| {
+            // Mirror `submit_one`: outstanding covers the whole slice before
             // any job becomes visible to the worker (a worker could otherwise
             // finish a job before it was ever counted), then the refused tail
-            // is subtracted after the pass.
-            self.shared.add_outstanding(items.len());
-            let q = &self.shared.queues[worker];
-            let mut admitted = 0usize;
-            let depth = {
-                let mut inner = q.inner.lock();
-                let mut refused = !inner.overflow.is_empty();
-                for (idx, key, job) in items {
-                    if refused
-                        || self
-                            .shared
-                            .capacity
-                            .is_some_and(|cap| inner.jobs.len() >= cap)
-                    {
-                        refused = true;
-                        remaining.push((idx, key, job));
-                    } else {
-                        inner.jobs.push_back(job);
-                        admitted += 1;
-                    }
-                }
-                // Under the lock for the same exactness argument as
-                // try_submit.
-                if admitted > 0 && inner.park.claim_one() {
-                    q.work.notify_one();
-                }
-                inner.jobs.len()
-            };
-            if admitted > 0 {
-                q.max_depth.fetch_max(depth, Ordering::Relaxed);
+            // is subtracted.
+            shared.add_outstanding(entries.len());
+            let (admitted, inner) = shared.push(worker, || entries.pop_front().map(|(_, job)| job));
+            drop(inner);
+            if !entries.is_empty() {
+                shared.finish_outstanding(entries.len());
             }
-            admitted_total += admitted;
-        }
-        if !remaining.is_empty() {
-            self.shared.finish_outstanding(remaining.len());
-        }
-        remaining.sort_by_key(|&(idx, _, _)| idx);
-        batch
-            .entries
-            .extend(remaining.into_iter().map(|(_, key, job)| (key, job)));
-        admitted_total
+            (admitted, None)
+        };
+        let route = |key| Some(self.target_worker(key));
+        let barrier = |_| unreachable!("every key routes to a queue");
+        admit_routed(batch, shared.queues.len(), route, admit, barrier).0
     }
 
     fn flush(&self) {
@@ -376,18 +344,14 @@ impl Executor for MultiQueueExecutor {
         for q in &self.shared.queues {
             let (parked, wake) = {
                 let mut inner = q.inner.lock();
-                let parked: Vec<_> = inner.overflow.drain(..).collect();
-                (parked, inner.park.claim_one())
+                (std::mem::take(&mut inner.overflow), inner.park.claim_one())
             };
             // One worker per queue, so a single targeted wakeup suffices.
             if wake {
                 q.work.notify_one();
             }
-            for (job, waiter) in parked {
-                drop(job);
-                waiter.abort();
-                dropped += 1;
-            }
+            dropped += parked.len();
+            parked.abort();
         }
         if dropped > 0 {
             self.shared.finish_outstanding(dropped);
@@ -433,15 +397,14 @@ fn worker_loop(shared: &Shared, index: usize) {
                 if let Some(job) = inner.jobs.pop_front() {
                     // The pop freed a slot: admit parked submissions FIFO
                     // while there is room.
-                    let mut admitted = Vec::new();
-                    while !inner.overflow.is_empty()
-                        && shared.capacity.is_none_or(|cap| inner.jobs.len() < cap)
-                    {
-                        let (parked_job, waiter) =
-                            inner.overflow.pop_front().expect("checked non-empty");
-                        inner.jobs.push_back(parked_job);
-                        admitted.push(waiter);
-                    }
+                    let st = &mut *inner;
+                    let admitted = st.overflow.admit(|_, parked| {
+                        if shared.capacity.is_some_and(|cap| st.jobs.len() >= cap) {
+                            return Err(parked);
+                        }
+                        st.jobs.push_back(parked);
+                        Ok(())
+                    });
                     break (job, admitted);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {

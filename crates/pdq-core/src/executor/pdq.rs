@@ -1,8 +1,13 @@
-//! The PDQ thread-pool executor.
+//! The PDQ thread-pool executor: dispatch-queue shards, one by default.
+//!
+//! A [`PdqExecutor`] with one shard is the paper's single dispatch queue.
+//! With more, user keys are hashed onto shards and a `Sequential` job
+//! becomes a barrier over all of them (see the `sharded` module); everything
+//! below holds per shard.
 //!
 //! # Two dispatch paths
 //!
-//! Since PR 8 the executor dispatches over **two** paths:
+//! Each shard dispatches over **two** paths:
 //!
 //! * **Fast path** — `NoSync` jobs go through a lock-free MPMC ring
 //!   ([`MpmcRing`]); submit is an atomic fence check plus a ring push, and a
@@ -56,49 +61,46 @@ use crate::queue::DispatchQueue;
 use crate::ring::{CachePadded, MpmcRing};
 use crate::stats::{QueueStats, QueueStatsCells};
 
+use super::admission::Overflow;
 use super::completion::SubmitWaiter;
 use super::park::{WorkerPark, PARK_BACKSTOP};
-use super::{resolve_ring, Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
+use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
 
-/// Statistics of a [`PdqExecutor`].
+/// Statistics of a [`PdqExecutor`], summed over its shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PdqExecutorStats {
-    /// Statistics of the underlying [`DispatchQueue`], with the ring fast
-    /// path folded in (a ring job counts as enqueued on push, dispatched and
-    /// `nosync` on pop, completed after it runs).
+    /// Statistics of the shards' [`DispatchQueue`]s merged (counters summed,
+    /// high-water marks maxed), with the ring fast path folded in (a ring job
+    /// counts as enqueued on push, dispatched and `nosync` on pop, completed
+    /// after it runs).
     pub queue: QueueStats,
-    /// Jobs that ran to completion.
+    /// Per-shard queue statistics, indexed by shard; the spread of
+    /// `dispatched` across shards shows how evenly the key hash balanced the
+    /// load.
+    pub per_shard: Vec<QueueStats>,
+    /// Jobs that ran to completion. On several shards a `Sequential`
+    /// submission contributes one barrier stub per shard (the stub on shard
+    /// 0 runs the actual job).
     pub executed: u64,
     /// Jobs that panicked. The panic is contained; the worker keeps running
-    /// and the job's key is released.
+    /// and the job's key (or the sequential barrier) is released.
     pub panicked: u64,
     /// `NoSync` jobs that took the lock-free ring fast path.
     pub ring_submits: u64,
-    /// Ring jobs this executor's workers stole from sibling shards (always
-    /// zero outside the sharded executor).
+    /// Ring jobs executed by a worker of a different shard than the one they
+    /// were submitted to (work stealing; counters still credit the home
+    /// shard, this only counts the migrations). Always zero on one shard.
     pub stolen: u64,
     /// Worker wakeups that found nothing to run.
     pub spurious_wakeups: u64,
 }
 
-/// A submission parked behind a full bounded queue, waiting for admission.
-struct Parked {
-    key: SyncKey,
-    job: Job,
-    /// `None` on every entry of a parked batch but its last: the submitter
-    /// sleeps once, until the whole batch is in.
-    waiter: Option<Arc<SubmitWaiter>>,
-}
-
-pub(super) struct State {
+struct State {
     queue: DispatchQueue<Job>,
-    /// FIFO of submissions that found the queue at capacity. Workers admit
-    /// from the front whenever a dispatch frees a slot; because every
-    /// submission goes to the back of this list while it is non-empty, later
-    /// submissions can never barge past earlier parked ones. (`NoSync`
-    /// fast-path submissions are exempt: they carry no ordering contract and
-    /// may overtake parked entries via the ring.)
-    overflow: VecDeque<Parked>,
+    /// Submissions that found the queue at capacity. (`NoSync` fast-path
+    /// submissions are exempt from its FIFO: they carry no ordering contract
+    /// and may overtake parked entries via the ring.)
+    overflow: Overflow,
     shutdown: bool,
     /// Accounting for the workers parked on `Shared::work`.
     park: WorkerPark,
@@ -124,10 +126,8 @@ struct HotCounters {
     spurious_wakeups: AtomicU64,
 }
 
-/// One dispatch queue plus the synchronization its worker threads park on.
-///
-/// [`PdqExecutor`] owns exactly one of these; the sharded executor owns one
-/// per shard and reuses the same submit/worker/idle machinery.
+/// One shard: a dispatch queue plus the synchronization its worker threads
+/// park on.
 pub(super) struct Shared {
     state: Mutex<State>,
     /// Signalled when new work arrives or a completion may unblock waiters.
@@ -139,7 +139,7 @@ pub(super) struct Shared {
     ring: MpmcRing<Job>,
     /// Whether `NoSync` submissions may use the ring at all.
     ring_enabled: bool,
-    /// The queue's seqlock counter block; lets [`snapshot`](Self::snapshot)
+    /// The queue's seqlock counter block; lets [`add_to`](Self::add_to)
     /// read queue statistics without the dispatch mutex.
     queue_stats: Arc<QueueStatsCells>,
     /// Fence, submit side: fast-path jobs advertised and not yet finished.
@@ -164,13 +164,13 @@ pub(super) struct Shared {
 }
 
 impl Shared {
-    pub(super) fn new(config: QueueConfig, ring_enabled: bool) -> Self {
+    fn new(config: QueueConfig, ring_enabled: bool) -> Self {
         let queue = DispatchQueue::with_config(config);
         let queue_stats = queue.stats_cells();
         Self {
             state: Mutex::new(State {
                 queue,
-                overflow: VecDeque::new(),
+                overflow: Overflow::default(),
                 shutdown: false,
                 park: WorkerPark::default(),
             }),
@@ -236,69 +236,62 @@ impl Shared {
         }
     }
 
-    /// Non-blocking submit: enqueues now or hands the job back.
-    pub(super) fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError> {
+    /// Enqueues one job, under the lock (`state`), unless the queue is full
+    /// or submissions are already parked: nothing may barge past those.
+    fn enqueue(&self, state: &mut State, key: SyncKey, job: Job) -> Result<(), Job> {
+        if !state.overflow.is_empty() {
+            return Err(job);
+        }
+        state.queue.enqueue(key, job).map_err(|full| full.payload)?;
+        if key == SyncKey::Sequential {
+            self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(())
+    }
+
+    /// Submits one job: through the ring, or into the queue if it has room.
+    /// Otherwise the job is handed back, or — given a `waiter` — parked in
+    /// the overflow FIFO (after shutdown: dropped, and `waiter` aborted). A
+    /// `waiter` is admitted as soon as its job is in. Never blocks.
+    pub(super) fn submit(
+        &self,
+        key: SyncKey,
+        job: Job,
+        waiter: Option<Arc<SubmitWaiter>>,
+    ) -> Result<(), TrySubmitError> {
         let Err(job) = self.try_ring_submit(key, job) else {
+            waiter.inspect(|w| w.admit());
             return Ok(());
         };
         let mut state = self.state.lock();
         if state.shutdown {
-            return Err(TrySubmitError::Shutdown(job));
-        }
-        if !state.overflow.is_empty() {
-            // Earlier submissions are already parked; refusing keeps FIFO
-            // admission intact.
-            return Err(TrySubmitError::WouldBlock(job));
-        }
-        match state.queue.enqueue(key, job) {
-            Ok(()) => {
-                if key == SyncKey::Sequential {
-                    self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-                }
-                self.wake(state, 1);
-                Ok(())
-            }
-            Err(full) => Err(TrySubmitError::WouldBlock(full.payload)),
-        }
-    }
-
-    /// Queued submit: enqueues now (admitting `waiter` immediately) or parks
-    /// the submission in the overflow FIFO. Never blocks the caller.
-    pub(super) fn submit_queued(&self, key: SyncKey, job: Job, waiter: Arc<SubmitWaiter>) {
-        let Err(job) = self.try_ring_submit(key, job) else {
-            waiter.admit();
-            return;
-        };
-        let mut state = self.state.lock();
-        if state.shutdown {
             drop(state);
+            let Some(waiter) = waiter else {
+                return Err(TrySubmitError::Shutdown(job));
+            };
             waiter.abort();
-            return;
+            return Ok(());
         }
+        let job = match self.enqueue(&mut state, key, job) {
+            Ok(()) => {
+                self.wake(state, 1);
+                waiter.inspect(|w| w.admit());
+                return Ok(());
+            }
+            Err(job) => job,
+        };
+        let Some(waiter) = waiter else {
+            return Err(TrySubmitError::WouldBlock(job));
+        };
         if key == SyncKey::Sequential {
             // Counted from acceptance (queued *or* parked) to completion, so
             // the fast-path gate is closed for the barrier's whole lifetime.
             self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
         }
-        let job = if state.overflow.is_empty() {
-            match state.queue.enqueue(key, job) {
-                Ok(()) => {
-                    self.wake(state, 1);
-                    waiter.admit();
-                    return;
-                }
-                Err(full) => full.payload,
-            }
-        } else {
-            job
-        };
-        state.overflow.push_back(Parked {
-            key,
-            job,
-            waiter: Some(waiter),
-        });
+        state.overflow.park(key, job, waiter);
         self.overflow_len
             .store(state.overflow.len(), Ordering::Relaxed);
+        Ok(())
     }
 
     /// Admits a batch under **one** lock acquisition: entries are enqueued
@@ -337,32 +330,26 @@ impl Shared {
             return (0, Some(waiter));
         }
         let mut admitted = 0;
-        // Nothing may barge past submissions that are already parked.
-        if state.overflow.is_empty() {
-            while let Some((key, job)) = entries.pop_front() {
-                if let Err(full) = state.queue.enqueue(key, job) {
-                    entries.push_front((full.key, full.payload));
-                    break;
-                }
-                if key == SyncKey::Sequential {
-                    self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-                }
-                admitted += 1;
+        while let Some((key, job)) = entries.pop_front() {
+            if let Err(job) = self.enqueue(&mut state, key, job) {
+                entries.push_front((key, job));
+                break;
             }
+            admitted += 1;
         }
-        let waiter = (park && !entries.is_empty()).then(SubmitWaiter::new);
-        if let Some(last) = &waiter {
-            let parked = entries.len();
-            for (i, (key, job)) in entries.drain(..).enumerate() {
-                if key == SyncKey::Sequential {
-                    self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-                }
-                let waiter = (i + 1 == parked).then(|| Arc::clone(last));
-                state.overflow.push_back(Parked { key, job, waiter });
+        let waiter = (park && !entries.is_empty()).then(|| {
+            let barriers = entries
+                .iter()
+                .filter(|(key, _)| *key == SyncKey::Sequential)
+                .count();
+            if barriers != 0 {
+                self.seq_pending.0.fetch_add(barriers, Ordering::SeqCst);
             }
+            let waiter = state.overflow.park_batch(entries);
             self.overflow_len
                 .store(state.overflow.len(), Ordering::Relaxed);
-        }
+            waiter
+        });
         // One new entry needs one worker; a slice may unblock several keys
         // at once, so it gets as many as it has entries (and sleepers).
         self.wake(state, admitted);
@@ -371,7 +358,7 @@ impl Shared {
 
     /// Blocks until the queue has nothing waiting, nothing parked, nothing in
     /// flight, and no outstanding fast-path jobs.
-    pub(super) fn wait_idle(&self) {
+    fn wait_idle(&self) {
         let mut state = self.state.lock();
         // Announced before the look at `nosync_outstanding` below, so the
         // lock-free completion that zeroes it either sees this waiter or is
@@ -404,35 +391,27 @@ impl Shared {
 
     /// Flags shutdown, drops parked submissions (aborting their waiters),
     /// and wakes every parked worker.
-    pub(super) fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         self.shutdown_flag.store(true, Ordering::SeqCst);
-        let (parked, wake): (Vec<Parked>, bool) = {
+        let (parked, wake) = {
             let mut state = self.state.lock();
             state.shutdown = true;
             self.overflow_len.store(0, Ordering::Relaxed);
-            (state.overflow.drain(..).collect(), state.park.claim_all())
+            (std::mem::take(&mut state.overflow), state.park.claim_all())
         };
         if wake {
             self.work.notify_all();
         }
-        for p in parked {
-            if p.key == SyncKey::Sequential {
-                // A dropped parked barrier will never complete; reopen the
-                // fast-path gate it was holding shut.
-                self.seq_pending.0.fetch_sub(1, Ordering::SeqCst);
-            }
-            // Dropping the job resolves any attached completion slot as
-            // Aborted; the waiter tells blocking/async submitters.
-            drop(p.job);
-            if let Some(waiter) = p.waiter {
-                waiter.abort();
-            }
-        }
+        // A dropped parked barrier will never complete; reopen the fast-path
+        // gate it was holding shut.
+        self.seq_pending
+            .0
+            .fetch_sub(parked.count(SyncKey::Sequential), Ordering::SeqCst);
+        parked.abort();
     }
 
-    /// Whether shutdown has begun. Exact, not racy, for trait callers:
-    /// `shutdown` takes `&mut self`, so it can never overlap a `&self`
-    /// submission call.
+    /// Whether shutdown has begun (exact for trait callers, see
+    /// `shutdown_flag`).
     pub(super) fn is_shutdown(&self) -> bool {
         self.shutdown_flag.load(Ordering::Acquire)
     }
@@ -441,7 +420,7 @@ impl Shared {
     /// submissions and fast-path jobs still in the ring. Lock-free: derived
     /// from the monotone counters (each lower bound read before the counter
     /// that bounds it from above, so the subtractions never underflow).
-    pub(super) fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         let ring_popped = self.counters.ring_popped.load(Ordering::Relaxed);
         let ring_pushed = self.counters.ring_pushed.load(Ordering::Relaxed);
         let s = self.queue_stats.snapshot();
@@ -450,10 +429,11 @@ impl Shared {
             + (ring_pushed - ring_popped) as usize
     }
 
-    /// Snapshot of the queue statistics and execution counters. Lock-free:
-    /// the queue counters come from their seqlock cells and the ring/worker
-    /// counters are relaxed atomics — `stats()` never contends with dispatch.
-    pub(super) fn snapshot(&self) -> PdqExecutorStats {
+    /// Adds a snapshot of this shard's queue statistics and execution
+    /// counters to `stats`. Lock-free: the queue counters come from their
+    /// seqlock cells and the ring/worker counters are relaxed atomics —
+    /// `stats()` never contends with dispatch.
+    fn add_to(&self, stats: &mut PdqExecutorStats) {
         // Monotone read order (completed before popped before pushed) keeps
         // the folded counters ordered even against concurrent traffic.
         let ring_completed = self.counters.ring_completed.load(Ordering::Relaxed);
@@ -464,14 +444,13 @@ impl Shared {
         queue.dispatched += ring_popped;
         queue.completed += ring_completed;
         queue.nosync_handlers += ring_popped;
-        PdqExecutorStats {
-            queue,
-            executed: self.counters.executed.load(Ordering::Relaxed),
-            panicked: self.counters.panicked.load(Ordering::Relaxed),
-            ring_submits: ring_pushed,
-            stolen: self.counters.stolen.load(Ordering::Relaxed),
-            spurious_wakeups: self.counters.spurious_wakeups.load(Ordering::Relaxed),
-        }
+        stats.queue.merge(&queue);
+        stats.per_shard.push(queue);
+        stats.executed += self.counters.executed.load(Ordering::Relaxed);
+        stats.panicked += self.counters.panicked.load(Ordering::Relaxed);
+        stats.ring_submits += ring_pushed;
+        stats.stolen += self.counters.stolen.load(Ordering::Relaxed);
+        stats.spurious_wakeups += self.counters.spurious_wakeups.load(Ordering::Relaxed);
     }
 }
 
@@ -480,11 +459,11 @@ impl Shared {
 /// synchronization, so running one on a foreign worker cannot violate
 /// per-key FIFO, exclusivity, or barrier order.
 #[derive(Clone)]
-pub(super) struct StealContext {
+struct StealContext {
     /// Every shard of the owning executor, including the worker's own.
-    pub(super) shards: Arc<Vec<Arc<Shared>>>,
+    shards: Arc<Vec<Arc<Shared>>>,
     /// Index of the worker's home shard in `shards`.
-    pub(super) home: usize,
+    home: usize,
 }
 
 /// Executes one job taken from `home`'s ring, crediting every counter to the
@@ -552,27 +531,6 @@ fn wait_fast_path_quiescent(shared: &Shared) {
     }
 }
 
-/// Spawns `count` worker threads running [`worker_loop`] over `shared`.
-/// `steal` gives sharded workers their sibling view; `None` disables
-/// stealing (single-queue executor).
-pub(super) fn spawn_workers(
-    shared: &Arc<Shared>,
-    count: usize,
-    name_prefix: &str,
-    steal: Option<StealContext>,
-) -> Vec<JoinHandle<()>> {
-    (0..count)
-        .map(|i| {
-            let shared = Arc::clone(shared);
-            let steal = steal.clone();
-            std::thread::Builder::new()
-                .name(format!("{name_prefix}-{i}"))
-                .spawn(move || worker_loop(&shared, steal.as_ref()))
-                .expect("failed to spawn pdq worker thread")
-        })
-        .collect()
-}
-
 /// Builder for [`PdqExecutor`].
 ///
 /// # Examples
@@ -583,63 +541,120 @@ pub(super) fn spawn_workers(
 /// let pool = PdqBuilder::new().workers(2).search_window(8).build();
 /// pool.submit_keyed(0x100, || { /* handler */ });
 /// pool.flush();
+///
+/// let sharded = PdqBuilder::new().workers(8).shards(4).build();
+/// assert_eq!(sharded.shards(), 4);
+/// sharded.submit_keyed(0x100, || { /* handler */ });
+/// sharded.flush();
 /// ```
 #[derive(Debug, Clone)]
 pub struct PdqBuilder {
     workers: usize,
+    shards: usize,
     config: QueueConfig,
-    ring: Option<bool>,
+    ring: bool,
+    /// The registry name the executor reports (see `build_executor`).
+    pub(super) name: &'static str,
 }
 
 impl PdqBuilder {
-    /// Creates a builder with one worker per available CPU (at least one) and
-    /// the default queue configuration.
+    /// Creates a builder with one worker per available CPU (at least one),
+    /// one shard, and the default queue configuration.
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         Self {
             workers,
+            shards: 1,
             config: QueueConfig::default(),
-            ring: None,
+            ring: true,
+            name: "pdq",
         }
     }
 
-    /// Sets the number of worker (protocol processor) threads. Clamped to at
-    /// least one.
+    /// Sets the total number of worker (protocol processor) threads,
+    /// distributed round-robin over the shards. Clamped to at least one;
+    /// every shard always gets at least one dedicated worker, so the spawned
+    /// total may exceed this value when `workers < shards`.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Sets the associative search window of the underlying queue.
+    /// Sets the number of queue shards (default one), clamped to at least
+    /// one. More shards spread the queue lock; keys are hashed onto shards
+    /// and a `Sequential` job becomes a barrier over all of them.
+    #[must_use]
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Sets the associative search window of every shard queue.
     #[must_use]
     pub fn search_window(mut self, window: usize) -> Self {
         self.config = self.config.search_window(window);
         self
     }
 
-    /// Bounds the number of waiting entries; `submit` blocks (and
-    /// `submit_async` parks the future) when the bound is reached.
+    /// Bounds the number of waiting entries *per shard*; `submit` blocks (and
+    /// `submit_async` parks the future) when the target shard is at its
+    /// bound.
     #[must_use]
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.config = self.config.capacity(capacity);
         self
     }
 
-    /// Forces the lock-free `NoSync` ring fast path on or off. Unset, the
-    /// `PDQ_RING` environment variable decides (strictly `0` or `1`; any
-    /// other value panics at build time), defaulting to **on**.
+    /// Turns the lock-free `NoSync` ring fast path on (the default) or off.
+    /// Work stealing only operates on the rings, so turning them off also
+    /// turns stealing off.
     #[must_use]
     pub fn ring(mut self, enabled: bool) -> Self {
-        self.ring = Some(enabled);
+        self.ring = enabled;
         self
     }
 
     /// Builds the executor and spawns its worker threads.
     pub fn build(&self) -> PdqExecutor {
-        PdqExecutor::with_builder(self)
+        let count = self.shards;
+        let shards: Vec<Arc<Shared>> = (0..count)
+            .map(|_| Arc::new(Shared::new(self.config, self.ring)))
+            .collect();
+        // Workers are spawned only after every shard exists so each can carry
+        // a view of all its siblings for work stealing. Stealing needs the
+        // rings; with them disabled (or a single shard) there is nothing to
+        // scan, so workers skip the steal pass entirely.
+        let steal_view = (self.ring && count > 1).then(|| Arc::new(shards.clone()));
+        let (base, extra) = (self.workers / count, self.workers % count);
+        let mut workers = Vec::new();
+        for (i, shard) in shards.iter().enumerate() {
+            let steal = steal_view.as_ref().map(|view| StealContext {
+                shards: Arc::clone(view),
+                home: i,
+            });
+            let prefix = match count {
+                1 => "pdq-worker".to_string(),
+                _ => format!("pdq-shard{i}"),
+            };
+            for w in 0..(base + usize::from(i < extra)).max(1) {
+                let (shard, steal) = (Arc::clone(shard), steal.clone());
+                let worker = std::thread::Builder::new()
+                    .name(format!("{prefix}-{w}"))
+                    .spawn(move || worker_loop(&shard, steal.as_ref()))
+                    .expect("failed to spawn pdq worker thread");
+                workers.push(worker);
+            }
+        }
+        PdqExecutor {
+            shards,
+            workers,
+            name: self.name,
+            round_robin: AtomicUsize::new(0),
+            barrier_broadcast: Mutex::new(()),
+        }
     }
 }
 
@@ -656,7 +671,9 @@ impl Default for PdqBuilder {
 ///
 /// Workers never block inside a job waiting for a synchronization key; a job
 /// is only handed to a worker once its key is free. This is the paper's
-/// programming abstraction realised as a Rust thread pool.
+/// programming abstraction realised as a Rust thread pool. With several
+/// shards the same guarantees hold, but submit, dispatch, and completion for
+/// keys on different shards no longer serialize on one mutex.
 ///
 /// # Examples
 ///
@@ -679,90 +696,145 @@ impl Default for PdqBuilder {
 /// assert_eq!(counter.load(Ordering::Relaxed), (0..100).sum::<u64>());
 /// ```
 pub struct PdqExecutor {
-    shared: Arc<Shared>,
+    pub(super) shards: Vec<Arc<Shared>>,
     workers: Vec<JoinHandle<()>>,
+    name: &'static str,
+    /// Round-robin cursor for spreading `NoSync` jobs across shards.
+    pub(super) round_robin: AtomicUsize,
+    /// Serializes barrier broadcasts so every shard sees the stubs of
+    /// concurrent `Sequential` submissions in the same order. Two broadcasts
+    /// interleaving in opposite orders on different shards would form a
+    /// circular wait: each barrier's in-flight stub on one shard blocking
+    /// the other barrier's stub that its leader needs.
+    pub(super) barrier_broadcast: Mutex<()>,
 }
 
 impl std::fmt::Debug for PdqExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PdqExecutor")
+            .field("shards", &self.shards.len())
             .field("workers", &self.workers.len())
             .finish()
     }
 }
 
 impl PdqExecutor {
-    /// Creates an executor with `workers` threads and the default queue
-    /// configuration.
+    /// Creates an executor with `workers` threads, one shard, and the
+    /// default queue configuration.
     pub fn new(workers: usize) -> Self {
         PdqBuilder::new().workers(workers).build()
     }
 
-    fn with_builder(builder: &PdqBuilder) -> Self {
-        let shared = Arc::new(Shared::new(builder.config, resolve_ring(builder.ring)));
-        let workers = spawn_workers(&shared, builder.workers.max(1), "pdq-worker", None);
-        Self { shared, workers }
+    /// Number of queue shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Returns a snapshot of the executor's detailed statistics, without
-    /// acquiring the dispatch lock.
+    /// Returns a snapshot of the executor's detailed statistics, merged
+    /// across shards, without acquiring any dispatch lock.
     pub fn pdq_stats(&self) -> PdqExecutorStats {
-        self.shared.snapshot()
+        let mut stats = PdqExecutorStats::default();
+        for shard in &self.shards {
+            shard.add_to(&mut stats);
+        }
+        stats
     }
 
-    /// Number of jobs currently waiting in the queue (including parked
+    /// Number of jobs currently waiting across all shards (including parked
     /// submissions and ring fast-path jobs).
     pub fn queued(&self) -> usize {
-        self.shared.queued()
+        self.shards.iter().map(|s| s.queued()).sum()
     }
 }
 
 impl Executor for PdqExecutor {
     fn name(&self) -> &'static str {
-        "pdq"
+        self.name
     }
 
     fn workers(&self) -> usize {
         self.workers.len()
     }
 
+    /// Non-blocking submit. On several shards a `Sequential` submission is
+    /// always accepted: its barrier stubs use the parked-admission path on
+    /// full shards, so only `Key`/`NoSync` jobs can observe
+    /// [`TrySubmitError::WouldBlock`] there.
     fn try_submit(&self, key: SyncKey, job: Job) -> Result<(), TrySubmitError> {
-        self.shared.try_submit(key, job)
+        match self.route(key) {
+            Some(shard) => self.shards[shard].submit(key, job, None),
+            // `shutdown` takes `&mut self`, so this check cannot race a
+            // concurrent shutdown: after it, every shard accepts the
+            // broadcast stubs.
+            None if self.shards[0].is_shutdown() => Err(TrySubmitError::Shutdown(job)),
+            None => {
+                self.broadcast_sequential_barrier(job, SubmitWaiter::new());
+                Ok(())
+            }
+        }
     }
 
     fn submit_queued(&self, key: SyncKey, job: Job, waiter: Arc<SubmitWaiter>) {
-        self.shared.submit_queued(key, job, waiter);
+        match self.route(key) {
+            // Given a waiter, a shard parks what it cannot take.
+            Some(shard) => {
+                let _ = self.shards[shard].submit(key, job, Some(waiter));
+            }
+            None => self.broadcast_sequential_barrier(job, waiter),
+        }
     }
 
-    /// Admits the whole batch under one dispatch-lock acquisition instead of
-    /// one lock round-trip per job.
+    /// One shard admits the whole batch under one dispatch-lock acquisition
+    /// instead of one lock round-trip per job; several admit it in one routed
+    /// pass, one lock acquisition per shard's slice (see `admit_batch`).
     fn try_submit_batch(&self, batch: &mut SubmitBatch) -> usize {
-        self.shared.enqueue_batch(&mut batch.entries, false).0
+        match &self.shards[..] {
+            [shard] => shard.enqueue_batch(&mut batch.entries, false).0,
+            // `shutdown` takes `&mut self`, so this check cannot race a
+            // concurrent shutdown (same argument as `try_submit`).
+            [first, ..] if first.is_shutdown() => 0,
+            _ => self.admit_batch(batch, false).0,
+        }
     }
 
-    /// Admits what fits and parks the rest under the same single lock
-    /// acquisition, behind one waiter.
+    /// The same pass, but what a shard cannot take is parked behind that
+    /// shard's capacity bound under the same lock acquisition, with one
+    /// waiter per shard that had to park (and one per `Sequential` entry on
+    /// several shards).
     fn submit_batch_queued(&self, batch: &mut SubmitBatch) -> Vec<Arc<SubmitWaiter>> {
-        Vec::from_iter(self.shared.enqueue_batch(&mut batch.entries, true).1)
+        match &self.shards[..] {
+            [shard] => Vec::from_iter(shard.enqueue_batch(&mut batch.entries, true).1),
+            _ => self.admit_batch(batch, true).1,
+        }
     }
 
     fn flush(&self) {
-        self.shared.wait_idle();
+        // Mutex-path jobs never migrate between shards, and a *stolen* ring
+        // job still counts against its home shard's outstanding-work counter
+        // until it finishes (the thief runs it against the victim's
+        // accounting). Once a shard reports idle, everything submitted to it
+        // before this call has therefore finished — wherever it ran — and one
+        // pass over the shards covers all previously submitted jobs.
+        for shard in &self.shards {
+            shard.wait_idle();
+        }
     }
 
     fn shutdown(&mut self) {
-        self.shared.begin_shutdown();
+        for shard in &self.shards {
+            shard.begin_shutdown();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 
     fn stats(&self) -> ExecutorStats {
-        let snap = self.shared.snapshot();
+        let snap = self.pdq_stats();
         ExecutorStats {
             executed: snap.executed,
             panicked: snap.panicked,
-            queued: self.shared.queued(),
+            queued: self.queued(),
             queue: Some(snap.queue),
             ring_submits: snap.ring_submits,
             stolen: snap.stolen,
@@ -778,7 +850,7 @@ impl Drop for PdqExecutor {
     }
 }
 
-pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
+fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
     loop {
         // Fast path first: the shard's own ring, no mutex.
         if let Some(job) = shared.ring.pop() {
@@ -798,20 +870,10 @@ pub(super) fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
             // FIFO order while the queue has room. Doing it in the same
             // critical section as the dispatch means there is never a window
             // where the queue has space but a parked submission waits.
-            let mut admitted: Vec<Arc<SubmitWaiter>> = Vec::new();
-            while let Some(parked) = state.overflow.pop_front() {
-                match state.queue.enqueue(parked.key, parked.job) {
-                    Ok(()) => admitted.extend(parked.waiter),
-                    Err(full) => {
-                        state.overflow.push_front(Parked {
-                            key: parked.key,
-                            job: full.payload,
-                            waiter: parked.waiter,
-                        });
-                        break;
-                    }
-                }
-            }
+            let st = &mut *state;
+            let admitted = st
+                .overflow
+                .admit(|key, job| st.queue.enqueue(key, job).map_err(|full| full.payload));
             shared
                 .overflow_len
                 .store(state.overflow.len(), Ordering::Relaxed);

@@ -10,6 +10,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::key::SyncKey;
 
+use super::admission::Overflow;
 use super::completion::SubmitWaiter;
 use super::park::{WorkerPark, PARK_BACKSTOP};
 use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
@@ -79,11 +80,11 @@ struct Shared {
     capacity: Option<usize>,
 }
 
+#[derive(Default)]
 struct QueueState {
     jobs: VecDeque<(SyncKey, Job)>,
-    /// FIFO of submissions parked behind the capacity bound; workers admit
-    /// from the front as they free slots.
-    overflow: VecDeque<(SyncKey, Job, Arc<SubmitWaiter>)>,
+    /// Submissions parked behind the capacity bound.
+    overflow: Overflow,
     outstanding: usize,
     shutdown: bool,
     /// Accounting for the workers parked on `Shared::work`.
@@ -131,13 +132,7 @@ impl SpinLockExecutor {
     /// most `capacity` waiting jobs when a bound is given.
     pub fn with_capacity(workers: usize, capacity: Option<usize>) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                overflow: VecDeque::new(),
-                outstanding: 0,
-                shutdown: false,
-                park: WorkerPark::default(),
-            }),
+            queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
             idle: Condvar::new(),
             locks: (0..LOCK_TABLE_SLOTS).map(|_| SpinSlot::new()).collect(),
@@ -207,7 +202,7 @@ impl Executor for SpinLockExecutor {
         }
         q.outstanding += 1;
         if self.is_full(&q) {
-            q.overflow.push_back((key, job, waiter));
+            q.overflow.park(key, job, waiter);
         } else {
             q.jobs.push_back((key, job));
             self.shared.wake(q, 1);
@@ -244,17 +239,14 @@ impl Executor for SpinLockExecutor {
         let (parked, wake) = {
             let mut q = self.shared.queue.lock();
             q.shutdown = true;
-            let parked: Vec<_> = q.overflow.drain(..).collect();
+            let parked = std::mem::take(&mut q.overflow);
             q.outstanding -= parked.len();
             (parked, q.park.claim_all())
         };
         if wake {
             self.shared.work.notify_all();
         }
-        for (_, job, waiter) in parked {
-            drop(job);
-            waiter.abort();
-        }
+        parked.abort();
         self.shared.idle.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -302,15 +294,14 @@ fn worker_loop(shared: &Shared) {
                 if let Some((key, job)) = q.jobs.pop_front() {
                     // The pop freed a slot: admit parked submissions FIFO
                     // while there is room.
-                    let mut admitted = Vec::new();
-                    while !q.overflow.is_empty()
-                        && shared.capacity.is_none_or(|cap| q.jobs.len() < cap)
-                    {
-                        let (pkey, pjob, waiter) =
-                            q.overflow.pop_front().expect("checked non-empty");
-                        q.jobs.push_back((pkey, pjob));
-                        admitted.push(waiter);
-                    }
+                    let st = &mut *q;
+                    let admitted = st.overflow.admit(|pkey, pjob| {
+                        if shared.capacity.is_some_and(|cap| st.jobs.len() >= cap) {
+                            return Err(pjob);
+                        }
+                        st.jobs.push_back((pkey, pjob));
+                        Ok(())
+                    });
                     // Each admitted entry is new dispatchable work for a
                     // sleeping peer — this worker is about to be busy with
                     // `job`.

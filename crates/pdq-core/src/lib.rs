@@ -30,12 +30,12 @@
 //!   no threads attached. It is what the paper's hardware device implements
 //!   and what the discrete-event simulator in the companion crates drives.
 //! * [`executor::PdqExecutor`] — a real thread pool built on the queue, for
-//!   programs that want the abstraction directly.
-//!   [`executor::ShardedPdqExecutor`] provides the same abstraction over N
-//!   independent queue shards for workloads where the single queue mutex
-//!   becomes the bottleneck. Two baseline executors
+//!   programs that want the abstraction directly. One queue by default; with
+//!   a shard count it provides the same abstraction over N independent queue
+//!   shards for workloads where the single queue mutex becomes the
+//!   bottleneck. Two baseline executors
 //!   ([`executor::SpinLockExecutor`], [`executor::MultiQueueExecutor`])
-//!   reproduce the alternatives the paper compares against. All four
+//!   reproduce the alternatives the paper compares against. All three
 //!   implement the [`executor::Executor`] trait — one submission surface
 //!   (blocking, non-blocking, and `async` with bounded-queue backpressure)
 //!   shared by benchmarks, the sweep engine, and server workloads.
@@ -105,7 +105,6 @@ mod send_sync_tests {
         assert_send_sync::<DispatchQueue<u64>>();
         assert_send_sync::<MpmcRing<u64>>();
         assert_send_sync::<executor::PdqExecutor>();
-        assert_send_sync::<executor::ShardedPdqExecutor>();
         assert_send_sync::<executor::SpinLockExecutor>();
         assert_send_sync::<executor::MultiQueueExecutor>();
     }

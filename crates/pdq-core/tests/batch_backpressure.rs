@@ -8,9 +8,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use pdq_core::executor::{
-    attach, build_executor, CompletionHandle, Executor, ExecutorExt, ExecutorSpec, JobStatus,
-    SubmitBatch, EXECUTOR_NAMES,
+    attach, build_executor, CompletionHandle, Executor, ExecutorExt, ExecutorSpec, Job, JobStatus,
+    PdqBuilder, SubmitBatch, TrySubmitError, EXECUTOR_NAMES,
 };
 use pdq_core::{ShutdownError, SyncKey};
 
@@ -153,6 +155,92 @@ fn shutdown_aborts_a_parked_batch_remainder() {
                 .iter()
                 .all(|s| *s == JobStatus::Aborted),
             "{name}: {statuses:?}"
+        );
+    }
+}
+
+/// A `Sequential` entry on a full queue, by shard count. One shard is the
+/// single dispatch queue: the entry is refused like any other — `try_submit`
+/// hands it back with `WouldBlock` and a batch pass stops at it. Two shards
+/// escalate it to a barrier over both, whose stubs park behind the full
+/// shards, so it is accepted at once.
+#[test]
+fn sequential_on_a_full_queue_is_refused_by_one_shard_and_accepted_by_two() {
+    for shards in [1, 2] {
+        // One worker per shard, each held inside a gate job (`NoSync` jobs
+        // are spread round-robin, one per shard), and one waiting slot per
+        // shard, filled.
+        let executor = PdqBuilder::new()
+            .workers(shards)
+            .shards(shards)
+            .capacity(1)
+            .build();
+        let (running_tx, running) = mpsc::channel::<()>();
+        // Dropping a sender opens its gate (also when an assertion fails).
+        let open: Vec<mpsc::Sender<()>> = (0..shards)
+            .map(|_| {
+                let (open, gate) = mpsc::channel::<()>();
+                let running_tx = running_tx.clone();
+                executor.submit_nosync(move || {
+                    running_tx.send(()).expect("test is listening");
+                    let _ = gate.recv();
+                });
+                open
+            })
+            .collect();
+        for _ in 0..shards {
+            running.recv().expect("a gate job starts");
+        }
+        let filled = (0..64u64)
+            .filter(|&k| {
+                executor
+                    .try_submit(SyncKey::key(k), Box::new(|| {}))
+                    .is_ok()
+            })
+            .count();
+        assert_eq!(filled, shards, "one waiting slot per shard");
+
+        let ran = Arc::new(AtomicU64::new(0));
+        let barrier = || -> Job {
+            let ran = Arc::clone(&ran);
+            Box::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let single = executor.try_submit(SyncKey::Sequential, barrier());
+        let mut batch = SubmitBatch::new();
+        batch.push(SyncKey::Sequential, barrier());
+        batch.push_keyed(u64::MAX, || {});
+        let admitted = executor.try_submit_batch(&mut batch);
+        if shards == 1 {
+            assert!(
+                matches!(single, Err(TrySubmitError::WouldBlock(_))),
+                "one shard refuses a Sequential entry on a full queue: {single:?}"
+            );
+            assert_eq!(
+                (admitted, batch.len()),
+                (0, 2),
+                "one shard: the batch pass stops at the refused Sequential entry"
+            );
+        } else {
+            assert!(single.is_ok(), "two shards accept the barrier: {single:?}");
+            assert_eq!(
+                (admitted, batch.len()),
+                (1, 1),
+                "two shards: the barrier is accepted, the keyed entry behind its parked stubs is not"
+            );
+        }
+        drop((single, batch, open));
+        executor.flush();
+        let barriers: usize = if shards == 1 { 0 } else { 2 };
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            barriers as u64,
+            "{shards} shards"
+        );
+        assert_eq!(
+            executor.pdq_stats().executed,
+            (shards + filled + barriers * shards) as u64
         );
     }
 }

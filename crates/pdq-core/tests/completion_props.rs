@@ -12,9 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pdq_core::executor::{
-    block_on, Executor, ExecutorExt, JobError, JobStatus, PdqBuilder, ShardedPdqBuilder,
-};
+use pdq_core::executor::{block_on, Executor, ExecutorExt, JobError, JobStatus, PdqBuilder};
 use pdq_core::SyncKey;
 use proptest::prelude::*;
 
@@ -32,7 +30,7 @@ proptest! {
         capacity in 0usize..8,
     ) {
         // 0 means "unbounded" (the offline proptest shim has no option::of).
-        let mut builder = ShardedPdqBuilder::new().workers(workers).shards(shards);
+        let mut builder = PdqBuilder::new().workers(workers).shards(shards);
         if capacity > 0 {
             builder = builder.capacity(capacity);
         }
@@ -109,7 +107,7 @@ proptest! {
         shards in 1usize..9,
         jobs in proptest::collection::vec((any::<u8>(), 0u8..5), 1..80),
     ) {
-        let pool = ShardedPdqBuilder::new().workers(workers).shards(shards).build();
+        let pool = PdqBuilder::new().workers(workers).shards(shards).build();
         let futures: Vec<_> = jobs
             .iter()
             .enumerate()
@@ -162,7 +160,7 @@ proptest! {
     ) {
         // 0 means "unbounded", 1.. bounds every shard queue.
         let run = |use_async: bool| -> Vec<u64> {
-            let mut builder = ShardedPdqBuilder::new().workers(4).shards(shards);
+            let mut builder = PdqBuilder::new().workers(4).shards(shards);
             if capacity > 0 {
                 builder = builder.capacity(capacity + 1);
             }

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use pdq_core::executor::{
     build_executor, Executor, ExecutorExt, ExecutorSpec, MultiQueueExecutor, PdqBuilder,
-    ShardedPdqBuilder, SpinLockExecutor, SubmitBatch, TrySubmitError, EXECUTOR_NAMES,
+    SpinLockExecutor, SubmitBatch, TrySubmitError, EXECUTOR_NAMES,
 };
 use pdq_core::SyncKey;
 use proptest::prelude::*;
@@ -192,9 +192,9 @@ proptest! {
         keys in proptest::collection::vec(any::<u8>(), 1..250),
     ) {
         let observed = Observed::new();
-        let pool = ShardedPdqBuilder::new().workers(workers).shards(shards).build();
+        let pool = PdqBuilder::new().workers(workers).shards(shards).build();
         let submitted = drive(&pool, &keys, &observed);
-        check(submitted, &observed, &format!("ShardedPdqExecutor({shards} shards)"))?;
+        check(submitted, &observed, &format!("PdqExecutor({shards} shards)"))?;
     }
 
     /// Batch submission is observably equivalent to one-at-a-time `submit`
@@ -338,7 +338,7 @@ proptest! {
         shards in 1usize..9,
         jobs in proptest::collection::vec((any::<u8>(), 0u8..12), 1..120),
     ) {
-        let pool = ShardedPdqBuilder::new().workers(workers).shards(shards).build();
+        let pool = PdqBuilder::new().workers(workers).shards(shards).build();
         // Per-job (start, end) stamps from a global logical clock.
         let clock = Arc::new(AtomicU64::new(1));
         let stamps: Arc<Vec<Mutex<(u64, u64)>>> =
