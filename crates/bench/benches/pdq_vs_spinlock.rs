@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdq_bench::{drive_fetch_add, drive_nosync_contended, scaling_spec};
+use pdq_bench::{drive_fetch_add, scaling_spec};
 use pdq_core::executor::{build_executor, Executor, ExecutorExt, SubmitBatch, EXECUTOR_NAMES};
 use pdq_core::SyncKey;
 
@@ -116,47 +116,6 @@ fn bench_submit_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `NoSync` fast path, ring on vs ring off, on the PDQ-family executors:
-/// four submitter threads race a burst of trivial unsynchronized jobs, so the
-/// measured difference is the lock-free ring against the dispatch mutex under
-/// contended submission. The ring's advantage here is structural even on one
-/// core — a submitter preempted mid-push blocks nobody, while one preempted
-/// holding the dispatch mutex stalls every other submitter and worker behind
-/// the lock. On a single-CPU host this still measures submit/execute handoff
-/// cost, not parallel speedup — all threads time-slice one core.
-fn bench_nosync_fast_path(c: &mut Criterion) {
-    const SUBMITTERS: u64 = 4;
-    let mut group = c.benchmark_group("nosync_fast_path");
-    group.sample_size(10);
-    for name in ["pdq", "sharded-pdq"] {
-        for (mode, ring) in [("ring", true), ("mutex", false)] {
-            group.bench_function(BenchmarkId::new(name, mode), |b| {
-                b.iter_batched(
-                    || {
-                        // Capacity covers the whole burst so neither path
-                        // measures backpressure: with the default 1024-slot
-                        // ring the submitters would fill it and spill the
-                        // remainder onto the mutex path, diluting the
-                        // comparison into a blend of both.
-                        let spec = scaling_spec(name, 4)
-                            .ring(ring)
-                            .capacity((2 * JOBS) as usize);
-                        (
-                            build_executor(name, &spec).expect("registry names build"),
-                            Arc::new(AtomicU64::new(0)),
-                        )
-                    },
-                    |(executor, counter)| {
-                        drive_nosync_contended(&*executor, SUBMITTERS, JOBS / SUBMITTERS, &counter)
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Drives the contended dispatch workload with the exact instrumentation the
 /// observed server puts on its hot path: one relaxed counter increment per
 /// submission and one timestamped histogram record per completed job.
@@ -230,7 +189,6 @@ fn bench_executors(c: &mut Criterion) {
     // itself, not the keys, is the point of contention.
     bench_workers(c, "fetch_add_4k_jobs_16_workers", 16, 64);
     bench_submit_batch(c);
-    bench_nosync_fast_path(c);
     bench_metrics_overhead(c);
 }
 

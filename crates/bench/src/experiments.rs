@@ -750,26 +750,6 @@ pub fn sweep_grid_on(
     }
 }
 
-/// Fast-path counters for one executor at one worker count, taken from the
-/// pool's [`Executor::stats`] after a `NoSync` burst of
-/// [`ExecutorScalingResult::jobs`] jobs. Keyed submissions never touch the
-/// ring, so `ring_submits + mutex_submits` always equals that burst size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastPathPoint {
-    /// Throughput of the `NoSync` burst in jobs per second.
-    pub nosync_jobs_per_sec: u64,
-    /// `NoSync` submissions that took the lock-free ring.
-    pub ring_submits: u64,
-    /// `NoSync` submissions that fell back to the dispatch mutex (ring
-    /// disabled, ring full, or a `Sequential` barrier pending).
-    pub mutex_submits: u64,
-    /// Ring jobs executed by a worker of a different shard (`"sharded-pdq"`
-    /// only).
-    pub stolen: u64,
-    /// Worker wakeups that found nothing to do.
-    pub spurious_wakeups: u64,
-}
-
 /// Throughput of one executor at several worker counts, in jobs per second.
 #[derive(Debug, Clone)]
 pub struct ExecutorScalingSeries {
@@ -778,9 +758,6 @@ pub struct ExecutorScalingSeries {
     /// Measured jobs/second, one entry per element of
     /// [`ExecutorScalingResult::workers`].
     pub jobs_per_sec: Vec<f64>,
-    /// `NoSync` fast-path counters, one entry per element of
-    /// [`ExecutorScalingResult::workers`].
-    pub fast_path: Vec<FastPathPoint>,
 }
 
 /// The executor-scaling experiment: every registered [`Executor`] driven by
@@ -815,26 +792,6 @@ impl ExecutorScalingResult {
                                 (
                                     "jobs_per_sec",
                                     JsonValue::array(s.jobs_per_sec.iter().copied()),
-                                ),
-                                (
-                                    "fast_path",
-                                    JsonValue::Array(
-                                        s.fast_path
-                                            .iter()
-                                            .map(|p| {
-                                                JsonValue::object(vec![
-                                                    (
-                                                        "nosync_jobs_per_sec",
-                                                        p.nosync_jobs_per_sec.into(),
-                                                    ),
-                                                    ("ring_submits", p.ring_submits.into()),
-                                                    ("mutex_submits", p.mutex_submits.into()),
-                                                    ("stolen", p.stolen.into()),
-                                                    ("spurious_wakeups", p.spurious_wakeups.into()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
                                 ),
                             ])
                         })
@@ -874,74 +831,6 @@ fn fetch_add_throughput<E: Executor + ?Sized>(executor: &E, jobs: u64, words: u6
     jobs as f64 / elapsed.max(f64::EPSILON)
 }
 
-/// Submits `jobs` `NoSync` handlers (each bumps a shared atomic; `NoSync`
-/// promises no exclusivity, so the counter must synchronize itself) and
-/// blocks until they all finish. Shared by the `executor_scaling` experiment
-/// and the `nosync_fast_path` criterion group so both drive the same
-/// workload.
-pub fn drive_nosync<E: Executor + ?Sized>(executor: &E, jobs: u64, counter: &Arc<AtomicU64>) {
-    for _ in 0..jobs {
-        let counter = Arc::clone(counter);
-        executor.submit_nosync(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    executor.flush();
-}
-
-/// [`drive_nosync`] from `submitters` concurrent threads (`jobs_each` jobs
-/// per thread): the contended configuration, where the lock-free ring's
-/// advantage is structural — a submitter preempted mid-push never blocks the
-/// other submitters or the workers, while a submitter preempted holding the
-/// dispatch mutex stalls everyone behind the lock. Shared by the
-/// `nosync_fast_path` criterion group.
-pub fn drive_nosync_contended(
-    executor: &(impl Executor + ?Sized),
-    submitters: u64,
-    jobs_each: u64,
-    counter: &Arc<AtomicU64>,
-) {
-    std::thread::scope(|s| {
-        for _ in 0..submitters {
-            s.spawn(|| {
-                for _ in 0..jobs_each {
-                    let counter = Arc::clone(counter);
-                    executor.submit_nosync(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
-    });
-    executor.flush();
-}
-
-/// Runs [`drive_nosync`] and folds the pool's post-burst [`Executor::stats`]
-/// into a [`FastPathPoint`]. The counters are read as deltas against
-/// `before` so the point reflects only this burst even though the pool may
-/// already have run other workloads.
-fn nosync_fast_path_point<E: Executor + ?Sized>(executor: &E, jobs: u64) -> FastPathPoint {
-    let before = executor.stats();
-    let counter = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    drive_nosync(executor, jobs, &counter);
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(
-        counter.load(Ordering::Relaxed),
-        jobs,
-        "an executor lost or duplicated NoSync jobs"
-    );
-    let after = executor.stats();
-    let ring_submits = after.ring_submits - before.ring_submits;
-    FastPathPoint {
-        nosync_jobs_per_sec: (jobs as f64 / elapsed.max(f64::EPSILON)) as u64,
-        ring_submits,
-        mutex_submits: jobs - ring_submits,
-        stolen: after.stolen - before.stolen,
-        spurious_wakeups: after.spurious_wakeups - before.spurious_wakeups,
-    }
-}
-
 /// The construction spec used for one executor measurement at a given worker
 /// count: the sharded executor gets one shard per four workers (its builder
 /// default, explicit so the experiments are self-describing). Shared by the
@@ -969,18 +858,17 @@ pub fn executor_scaling(scale: WorkloadScale) -> ExecutorScalingResult {
     let series = EXECUTOR_NAMES
         .iter()
         .map(|name| {
-            let mut jobs_per_sec = Vec::with_capacity(workers.len());
-            let mut fast_path = Vec::with_capacity(workers.len());
-            for &w in &workers {
-                let pool =
-                    build_executor(name, &scaling_spec(name, w)).expect("registry names build");
-                jobs_per_sec.push(fetch_add_throughput(&*pool, jobs, words));
-                fast_path.push(nosync_fast_path_point(&*pool, jobs));
-            }
+            let jobs_per_sec = workers
+                .iter()
+                .map(|&w| {
+                    let pool =
+                        build_executor(name, &scaling_spec(name, w)).expect("registry names build");
+                    fetch_add_throughput(&*pool, jobs, words)
+                })
+                .collect();
             ExecutorScalingSeries {
                 executor: name.to_string(),
                 jobs_per_sec,
-                fast_path,
             }
         })
         .collect();
@@ -1011,36 +899,6 @@ pub fn render_executor_scaling(result: &ExecutorScalingResult) -> String {
             out.push_str(&format!(" {:>12.0}", v));
         }
         out.push('\n');
-    }
-    out.push_str(&format!(
-        "NoSync fast path: {} NoSync jobs per measurement (jobs/sec)\n",
-        result.jobs
-    ));
-    out.push_str(&format!("{:<12}", "executor"));
-    for w in &result.workers {
-        out.push_str(&format!(" {:>12}", format!("{w} workers")));
-    }
-    out.push('\n');
-    for s in &result.series {
-        out.push_str(&format!("{:<12}", s.executor));
-        for p in &s.fast_path {
-            out.push_str(&format!(" {:>12}", p.nosync_jobs_per_sec));
-        }
-        out.push('\n');
-        let (ring, mutex, stolen, spurious) =
-            s.fast_path
-                .iter()
-                .fold((0u64, 0u64, 0u64, 0u64), |(r, m, st, sp), p| {
-                    (
-                        r + p.ring_submits,
-                        m + p.mutex_submits,
-                        st + p.stolen,
-                        sp + p.spurious_wakeups,
-                    )
-                });
-        out.push_str(&format!(
-            "  sweep totals: ring {ring} / mutex {mutex} / stolen {stolen} / spurious {spurious}\n"
-        ));
     }
     out
 }
@@ -1132,55 +990,13 @@ mod tests {
             series: vec![ExecutorScalingSeries {
                 executor: "pdq".to_string(),
                 jobs_per_sec: vec![1.0, 2.0],
-                fast_path: vec![
-                    FastPathPoint {
-                        nosync_jobs_per_sec: 10,
-                        ring_submits: 90,
-                        mutex_submits: 10,
-                        stolen: 0,
-                        spurious_wakeups: 3,
-                    },
-                    FastPathPoint::default(),
-                ],
             }],
         };
         let text = render_executor_scaling(&result);
         assert!(text.contains("pdq"));
         assert!(text.contains("2 workers"));
-        assert!(text.contains("ring 90 / mutex 10 / stolen 0 / spurious 3"));
         let json = result.to_json().render();
         assert!(json.contains("\"jobs_per_sec\""));
-        assert!(json.contains("\"ring_submits\""));
-        assert!(json.contains("\"mutex_submits\""));
-        assert!(json.contains("\"stolen\""));
-    }
-
-    #[test]
-    fn nosync_fast_path_point_splits_ring_and_mutex_submissions() {
-        for (spec, expect_ring) in [
-            (ExecutorSpec::new(2).ring(true), true),
-            (ExecutorSpec::new(2).ring(false), false),
-        ] {
-            let pool = build_executor("pdq", &spec).expect("pdq is registered");
-            let point = nosync_fast_path_point(&*pool, 500);
-            assert_eq!(point.ring_submits + point.mutex_submits, 500);
-            if expect_ring {
-                assert!(point.ring_submits > 0, "ring enabled but never used");
-            } else {
-                assert_eq!(point.ring_submits, 0, "ring disabled but counted");
-            }
-        }
-    }
-
-    #[test]
-    fn contended_nosync_driver_delivers_every_job() {
-        for ring in [true, false] {
-            let pool =
-                build_executor("pdq", &ExecutorSpec::new(2).ring(ring)).expect("pdq is registered");
-            let counter = Arc::new(AtomicU64::new(0));
-            drive_nosync_contended(&*pool, 4, 50, &counter);
-            assert_eq!(counter.load(Ordering::SeqCst), 200, "ring={ring}");
-        }
     }
 
     #[test]

@@ -36,11 +36,10 @@ pub mod runner;
 pub mod sweep;
 
 pub use experiments::{
-    ablation_search_window, drive_fetch_add, drive_nosync, drive_nosync_contended,
-    executor_scaling, fig10, fig11, fig7, fig8, fig9, headline, render_executor_scaling,
-    render_table2, scaling_spec, sweep_grid, table2, table2_json, workload_scale, AblationResult,
-    AblationRow, ExecutorScalingResult, ExecutorScalingSeries, FigureResult, FigureSeries,
-    HeadlineResult, SweepGridResult, Table2Row,
+    ablation_search_window, drive_fetch_add, executor_scaling, fig10, fig11, fig7, fig8, fig9,
+    headline, render_executor_scaling, render_table2, scaling_spec, sweep_grid, table2,
+    table2_json, workload_scale, AblationResult, AblationRow, ExecutorScalingResult,
+    ExecutorScalingSeries, FigureResult, FigureSeries, HeadlineResult, SweepGridResult, Table2Row,
 };
 pub use runner::{run, Experiment};
 pub use sweep::{SimJob, SweepEngine, SweepStats};

@@ -8,7 +8,7 @@
 //!   log₂-bucketed [`Histogram`]s, rendered as Prometheus-style
 //!   `name{label="v"} value` text. Instruments are cheap clones of
 //!   cache-line-padded atomics ([`pdq_core::CachePadded`], the same pattern
-//!   as the executor's ring counters): recording is one relaxed
+//!   as the executor's per-shard worker counters): recording is one relaxed
 //!   `fetch_add`, and the registry's mutex is touched only at
 //!   registration and render time — never on the hot path.
 //! * [`TraceLog`] — a bounded in-memory JSONL event buffer with an explicit

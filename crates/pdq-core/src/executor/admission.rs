@@ -93,11 +93,6 @@ impl Overflow {
         admitted
     }
 
-    /// How many parked submissions carry `key`.
-    pub(super) fn count(&self, key: SyncKey) -> usize {
-        self.parked.iter().filter(|p| p.key == key).count()
-    }
-
     /// Drops every parked job unexecuted — an attached completion slot
     /// resolves `Aborted` — and aborts its waiter. At shutdown the FIFO is
     /// taken out from under the queue's lock (`std::mem::take`) and aborted

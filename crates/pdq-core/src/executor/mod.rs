@@ -222,11 +222,12 @@ pub struct ExecutorStats {
     pub spin_iterations: u64,
     /// Times a worker or idle-waiter woke up and found nothing to do.
     pub spurious_wakeups: u64,
-    /// `NoSync` submissions that took the lock-free ring fast path instead of
-    /// the dispatch mutex (PDQ-family executors only).
+    /// Always 0: every executor now admits `NoSync` jobs through its queue.
+    /// Kept only so the standing benchmark, which still reads it, compiles;
+    /// the benchmark-only change of ROADMAP.md item 1 deletes it.
     pub ring_submits: u64,
-    /// Ring fast-path jobs executed by a worker of a *different* shard than
-    /// the one they were submitted to (`"sharded-pdq"` only).
+    /// Always 0: no executor moves jobs between queues. Kept and deleted
+    /// like [`ring_submits`](Self::ring_submits).
     pub stolen: u64,
 }
 
@@ -263,14 +264,8 @@ impl ExecutorStats {
         format!(
             "{{\n  \"executed\": {},\n  \"panicked\": {},\n  \"queued\": {},\n  \
              \"spin_iterations\": {},\n  \"spurious_wakeups\": {},\n  \
-             \"ring_submits\": {},\n  \"stolen\": {},\n  \"queue\": {queue}\n}}\n",
-            self.executed,
-            self.panicked,
-            self.queued,
-            self.spin_iterations,
-            self.spurious_wakeups,
-            self.ring_submits,
-            self.stolen,
+             \"queue\": {queue}\n}}\n",
+            self.executed, self.panicked, self.queued, self.spin_iterations, self.spurious_wakeups,
         )
     }
 }
@@ -282,15 +277,8 @@ impl std::fmt::Display for ExecutorStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "executed={} panicked={} queued={} spin_iterations={} \
-             spurious_wakeups={} ring_submits={} stolen={}",
-            self.executed,
-            self.panicked,
-            self.queued,
-            self.spin_iterations,
-            self.spurious_wakeups,
-            self.ring_submits,
-            self.stolen,
+            "executed={} panicked={} queued={} spin_iterations={} spurious_wakeups={}",
+            self.executed, self.panicked, self.queued, self.spin_iterations, self.spurious_wakeups,
         )?;
         if let Some(queue) = &self.queue {
             write!(f, " [{queue}]")?;
@@ -627,9 +615,6 @@ pub struct ExecutorSpec {
     pub capacity: Option<usize>,
     /// Associative search window of the dispatch queue (PDQ family only).
     pub search_window: Option<usize>,
-    /// Whether `NoSync` jobs may use the lock-free ring fast path (PDQ
-    /// family only). `None` means enabled.
-    pub ring: Option<bool>,
 }
 
 impl ExecutorSpec {
@@ -641,7 +626,6 @@ impl ExecutorSpec {
             shards: None,
             capacity: None,
             search_window: None,
-            ring: None,
         }
     }
 
@@ -666,10 +650,11 @@ impl ExecutorSpec {
         self
     }
 
-    /// Turns the `NoSync` ring fast path on or off (PDQ family).
+    /// Does nothing: `NoSync` jobs always go through the queue. Kept only
+    /// so the standing benchmark, which still calls it, compiles; the
+    /// benchmark-only change of ROADMAP.md item 1 deletes it.
     #[must_use]
-    pub fn ring(mut self, enabled: bool) -> Self {
-        self.ring = Some(enabled);
+    pub fn ring(self, _enabled: bool) -> Self {
         self
     }
 }
@@ -683,9 +668,7 @@ impl ExecutorSpec {
 pub fn build_executor(name: &str, spec: &ExecutorSpec) -> Option<Box<dyn Executor>> {
     Some(match name {
         "pdq" | "sharded-pdq" => {
-            let mut b = PdqBuilder::new()
-                .workers(spec.workers)
-                .ring(spec.ring.unwrap_or(true));
+            let mut b = PdqBuilder::new().workers(spec.workers);
             if name == "sharded-pdq" {
                 b = b.shards(spec.shards.unwrap_or((spec.workers / 4).max(1)));
                 b.name = "sharded-pdq";
@@ -736,31 +719,6 @@ mod tests {
     #[test]
     fn factory_rejects_unknown_names() {
         assert!(build_executor("bogus", &ExecutorSpec::new(1)).is_none());
-    }
-
-    #[test]
-    fn spec_ring_toggle_reaches_the_pdq_executors() {
-        for name in ["pdq", "sharded-pdq"] {
-            for ring in [false, true] {
-                let pool = build_executor(name, &ExecutorSpec::new(2).ring(ring)).expect("builds");
-                let counter = Arc::new(AtomicU64::new(0));
-                for _ in 0..50u64 {
-                    let counter = Arc::clone(&counter);
-                    pool.submit_nosync(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                pool.flush();
-                assert_eq!(counter.load(Ordering::Relaxed), 50, "{name}");
-                let stats = pool.stats();
-                assert_eq!(stats.executed, 50, "{name}");
-                if ring {
-                    assert!(stats.ring_submits > 0, "{name}: ring on but unused");
-                } else {
-                    assert_eq!(stats.ring_submits, 0, "{name}: ring off but used");
-                }
-            }
-        }
     }
 
     #[test]

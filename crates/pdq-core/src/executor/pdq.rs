@@ -5,60 +5,33 @@
 //! becomes a barrier over all of them (see the `sharded` module); everything
 //! below holds per shard.
 //!
-//! # Two dispatch paths
+//! # One dispatch path
 //!
-//! Each shard dispatches over **two** paths:
+//! Every job enters the shard's mutex-protected [`DispatchQueue`], which
+//! applies the synchronization key before a worker ever sees the job: per-key
+//! FIFO and exclusivity for user keys, a barrier for `Sequential`, and no
+//! key check at all for `NoSync`, which the queue dispatches once it is
+//! inside the search window and no barrier is in the way, and counts in
+//! `nosync_handlers`.
 //!
-//! * **Fast path** — `NoSync` jobs go through a lock-free MPMC ring
-//!   ([`MpmcRing`]); submit is an atomic fence check plus a ring push, and a
-//!   worker pops and runs the job without ever touching the dispatch mutex.
-//! * **Slow path** — keyed and `Sequential` jobs keep the mutex-protected
-//!   [`DispatchQueue`], which is what implements per-key FIFO, exclusivity,
-//!   and barrier semantics.
-//!
-//! ## The two-path ordering fence
-//!
-//! The only semantic coupling between the paths is the `Sequential` barrier:
-//! a `Sequential` job must run **alone**, including against fast-path jobs.
-//! Two SeqCst counters enforce it (a Dekker-style protocol):
-//!
-//! * `nosync_outstanding` — fast-path jobs advertised but not yet finished. A
-//!   submitter increments it *before* checking for a pending barrier and
-//!   decrements it when the job's execution completes (or on back-off).
-//! * `seq_pending` — `Sequential` entries accepted (queued or parked) and not
-//!   yet completed, maintained under the dispatch mutex.
-//!
-//! Submit side: increment `nosync_outstanding`, then load `seq_pending`; if
-//! it is non-zero, back off to the mutex path, where the queue orders the job
-//! behind the barrier. Dispatch side: a worker that receives a `Sequential`
-//! dispatch waits for `nosync_outstanding == 0` (helping by draining its own
-//! ring) before running the body. In the SeqCst total order either the
-//! submitter's increment precedes the barrier's quiescence check — so the
-//! barrier waits for that job — or the submitter's load sees the barrier and
-//! the job takes the slow path. While the barrier is pending no new job can
-//! enter the ring, so the body runs with the fast path drained and closed.
-//!
-//! Cross-key ordering between a fast-path job and earlier *keyed* submissions
-//! was never promised by the executor and is not preserved by the ring (a
-//! `NoSync` job may run while earlier keyed submissions are still parked
-//! behind a full queue).
+//! A `NoSync` job is otherwise an ordinary entry. It counts against the
+//! capacity bound, is refused with `WouldBlock` (or parked) when the shard is
+//! full, queues behind submissions already parked there, and never runs
+//! while a `Sequential` entry is in flight. The barrier therefore needs no
+//! mechanism of its own beside the queue.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-/// Ring capacity when the queue is unbounded. Bounded queues reuse their
-/// configured capacity so total buffering stays proportional to it.
-const DEFAULT_RING_CAPACITY: usize = 1024;
-
 use crate::config::QueueConfig;
 use crate::key::SyncKey;
+use crate::padded::CachePadded;
 use crate::queue::DispatchQueue;
-use crate::ring::{CachePadded, MpmcRing};
 use crate::stats::{QueueStats, QueueStatsCells};
 
 use super::admission::Overflow;
@@ -70,9 +43,7 @@ use super::{Executor, ExecutorStats, Job, SubmitBatch, TrySubmitError};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PdqExecutorStats {
     /// Statistics of the shards' [`DispatchQueue`]s merged (counters summed,
-    /// high-water marks maxed), with the ring fast path folded in (a ring job
-    /// counts as enqueued on push, dispatched and `nosync` on pop, completed
-    /// after it runs).
+    /// high-water marks maxed).
     pub queue: QueueStats,
     /// Per-shard queue statistics, indexed by shard; the spread of
     /// `dispatched` across shards shows how evenly the key hash balanced the
@@ -85,42 +56,30 @@ pub struct PdqExecutorStats {
     /// Jobs that panicked. The panic is contained; the worker keeps running
     /// and the job's key (or the sequential barrier) is released.
     pub panicked: u64,
-    /// `NoSync` jobs that took the lock-free ring fast path.
-    pub ring_submits: u64,
-    /// Ring jobs executed by a worker of a different shard than the one they
-    /// were submitted to (work stealing; counters still credit the home
-    /// shard, this only counts the migrations). Always zero on one shard.
-    pub stolen: u64,
     /// Worker wakeups that found nothing to run.
     pub spurious_wakeups: u64,
 }
 
 struct State {
     queue: DispatchQueue<Job>,
-    /// Submissions that found the queue at capacity. (`NoSync` fast-path
-    /// submissions are exempt from its FIFO: they carry no ordering contract
-    /// and may overtake parked entries via the ring.)
+    /// Submissions that found the queue at capacity.
     overflow: Overflow,
     shutdown: bool,
     /// Accounting for the workers parked on `Shared::work`.
     park: WorkerPark,
+    /// Threads inside `wait_idle`; lets `notify_if_idle` skip the `idle`
+    /// broadcast when nobody flushes.
+    idle_waiters: usize,
 }
 
-/// Monotone relaxed counters for one queue/shard, grouped on their own cache
-/// line so the hot fence counters next to them do not false-share.
+/// Monotone relaxed counters bumped by one shard's workers, on their own
+/// cache line so those increments do not false-share with the submit-side
+/// fields next to them.
 #[derive(Default)]
 struct HotCounters {
-    /// Fast-path jobs pushed into the ring.
-    ring_pushed: AtomicU64,
-    /// Fast-path jobs popped from the ring (dispatched).
-    ring_popped: AtomicU64,
-    /// Fast-path jobs that finished executing.
-    ring_completed: AtomicU64,
-    /// Ring jobs this shard's workers stole from sibling shards.
-    stolen: AtomicU64,
-    /// Jobs (either path) that ran to completion.
+    /// Jobs that ran to completion.
     executed: AtomicU64,
-    /// Jobs (either path) that panicked.
+    /// Jobs that panicked.
     panicked: AtomicU64,
     /// Worker wakeups that found nothing to run.
     spurious_wakeups: AtomicU64,
@@ -134,37 +93,20 @@ pub(super) struct Shared {
     work: Condvar,
     /// Signalled when the queue becomes idle (for [`PdqExecutor::flush`]).
     idle: Condvar,
-    /// The `NoSync` fast path. Jobs here need no synchronization, so any
-    /// worker — including a sibling shard's — may pop and run them.
-    ring: MpmcRing<Job>,
-    /// Whether `NoSync` submissions may use the ring at all.
-    ring_enabled: bool,
     /// The queue's seqlock counter block; lets [`add_to`](Self::add_to)
     /// read queue statistics without the dispatch mutex.
     queue_stats: Arc<QueueStatsCells>,
-    /// Fence, submit side: fast-path jobs advertised and not yet finished.
-    /// Cache-line padded — it is the single hottest cross-thread counter.
-    nosync_outstanding: CachePadded<AtomicUsize>,
-    /// Fence, barrier side: `Sequential` entries accepted and not completed.
-    seq_pending: CachePadded<AtomicUsize>,
-    /// Mirrors `State::shutdown` for lock-free fast-path checks. Exact for
-    /// trait callers: `shutdown` takes `&mut self`, so it can never overlap
-    /// a `&self` submission call.
+    /// Mirrors `State::shutdown` for lock-free checks. Exact for trait
+    /// callers: `shutdown` takes `&mut self`, so it can never overlap a
+    /// `&self` submission call.
     shutdown_flag: AtomicBool,
     /// Mirrors `State::overflow.len()` for the lock-free `queued()`.
     overflow_len: AtomicUsize,
-    /// Workers about to park or parked on `work`, announced (SeqCst) *before*
-    /// their last look at the ring and at `nosync_outstanding`; the
-    /// lock-free sites read it to skip wake-ups nobody is waiting for.
-    parked: CachePadded<AtomicUsize>,
-    /// Threads inside `wait_idle`, announced (SeqCst) before their look at
-    /// `nosync_outstanding`, for the same purpose.
-    idle_waiters: AtomicUsize,
     counters: CachePadded<HotCounters>,
 }
 
 impl Shared {
-    fn new(config: QueueConfig, ring_enabled: bool) -> Self {
+    fn new(config: QueueConfig) -> Self {
         let queue = DispatchQueue::with_config(config);
         let queue_stats = queue.stats_cells();
         Self {
@@ -173,18 +115,13 @@ impl Shared {
                 overflow: Overflow::default(),
                 shutdown: false,
                 park: WorkerPark::default(),
+                idle_waiters: 0,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            ring: MpmcRing::new(config.capacity.unwrap_or(DEFAULT_RING_CAPACITY)),
-            ring_enabled,
             queue_stats,
-            nosync_outstanding: CachePadded::new(AtomicUsize::new(0)),
-            seq_pending: CachePadded::new(AtomicUsize::new(0)),
             shutdown_flag: AtomicBool::new(false),
             overflow_len: AtomicUsize::new(0),
-            parked: CachePadded::new(AtomicUsize::new(0)),
-            idle_waiters: AtomicUsize::new(0),
             counters: CachePadded::new(HotCounters::default()),
         }
     }
@@ -194,75 +131,25 @@ impl Shared {
         WorkerPark::wake(&self.work, state, |s| &mut s.park, jobs);
     }
 
-    /// Attempts the lock-free fast path, which is for `NoSync` jobs only.
-    /// Hands the job back when the fast path is unavailable — another key,
-    /// ring disabled, shutdown begun, a `Sequential` barrier pending, or the
-    /// ring full — and the caller must take the mutex path.
-    fn try_ring_submit(&self, key: SyncKey, job: Job) -> Result<(), Job> {
-        if key != SyncKey::NoSync || !self.ring_enabled || self.is_shutdown() {
-            return Err(job);
-        }
-        // Two-path fence, submit side: advertise the job *before* checking
-        // for a pending barrier (see the module docs for the SeqCst total-
-        // order argument).
-        self.nosync_outstanding.0.fetch_add(1, Ordering::SeqCst);
-        if self.seq_pending.0.load(Ordering::SeqCst) != 0 {
-            self.nosync_outstanding.0.fetch_sub(1, Ordering::SeqCst);
-            return Err(job);
-        }
-        match self.ring.push(job) {
-            Ok(()) => {
-                self.counters.ring_pushed.fetch_add(1, Ordering::Relaxed);
-                // Dekker handshake with `worker_loop`'s park: the worker
-                // announces itself in `parked`, fences, then re-checks the
-                // ring; this side pushes, fences, then reads `parked`. One
-                // of the two always sees the other, so a saturated pool
-                // costs this path neither a lock nor a system call. With a
-                // worker parked, the lock makes the claim exact and orders
-                // the notify after that worker's check-then-park.
-                fence(Ordering::SeqCst);
-                if self.parked.0.load(Ordering::SeqCst) != 0 {
-                    self.wake(self.state.lock(), 1);
-                }
-                Ok(())
-            }
-            Err(job) => {
-                // Full ring: back off to the bounded mutex path. The back-off
-                // decrement needs no wakeup — no job ran, and idle waiters
-                // re-check under PARK_BACKSTOP anyway.
-                self.nosync_outstanding.0.fetch_sub(1, Ordering::SeqCst);
-                Err(job)
-            }
-        }
-    }
-
     /// Enqueues one job, under the lock (`state`), unless the queue is full
     /// or submissions are already parked: nothing may barge past those.
-    fn enqueue(&self, state: &mut State, key: SyncKey, job: Job) -> Result<(), Job> {
+    fn enqueue(state: &mut State, key: SyncKey, job: Job) -> Result<(), Job> {
         if !state.overflow.is_empty() {
             return Err(job);
         }
-        state.queue.enqueue(key, job).map_err(|full| full.payload)?;
-        if key == SyncKey::Sequential {
-            self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-        }
-        Ok(())
+        state.queue.enqueue(key, job).map_err(|full| full.payload)
     }
 
-    /// Submits one job: through the ring, or into the queue if it has room.
-    /// Otherwise the job is handed back, or — given a `waiter` — parked in
-    /// the overflow FIFO (after shutdown: dropped, and `waiter` aborted). A
-    /// `waiter` is admitted as soon as its job is in. Never blocks.
+    /// Submits one job into the queue if it has room. Otherwise the job is
+    /// handed back, or — given a `waiter` — parked in the overflow FIFO
+    /// (after shutdown: dropped, and `waiter` aborted). A `waiter` is
+    /// admitted as soon as its job is in. Never blocks.
     pub(super) fn submit(
         &self,
         key: SyncKey,
         job: Job,
         waiter: Option<Arc<SubmitWaiter>>,
     ) -> Result<(), TrySubmitError> {
-        let Err(job) = self.try_ring_submit(key, job) else {
-            waiter.inspect(|w| w.admit());
-            return Ok(());
-        };
         let mut state = self.state.lock();
         if state.shutdown {
             drop(state);
@@ -272,7 +159,7 @@ impl Shared {
             waiter.abort();
             return Ok(());
         }
-        let job = match self.enqueue(&mut state, key, job) {
+        let job = match Self::enqueue(&mut state, key, job) {
             Ok(()) => {
                 self.wake(state, 1);
                 waiter.inspect(|w| w.admit());
@@ -283,11 +170,6 @@ impl Shared {
         let Some(waiter) = waiter else {
             return Err(TrySubmitError::WouldBlock(job));
         };
-        if key == SyncKey::Sequential {
-            // Counted from acceptance (queued *or* parked) to completion, so
-            // the fast-path gate is closed for the barrier's whole lifetime.
-            self.seq_pending.0.fetch_add(1, Ordering::SeqCst);
-        }
         state.overflow.park(key, job, waiter);
         self.overflow_len
             .store(state.overflow.len(), Ordering::Relaxed);
@@ -306,10 +188,6 @@ impl Shared {
     /// attached to the last of them is returned — FIFO admission decides it
     /// once the whole batch is in the queue; after shutdown they are dropped
     /// instead and the waiter comes back aborted.
-    ///
-    /// Batches stay on the mutex path even for `NoSync` entries: a batch
-    /// already amortizes the lock over its length, and in-order admission is
-    /// part of the batch contract.
     pub(super) fn enqueue_batch(
         &self,
         entries: &mut VecDeque<(SyncKey, Job)>,
@@ -331,20 +209,13 @@ impl Shared {
         }
         let mut admitted = 0;
         while let Some((key, job)) = entries.pop_front() {
-            if let Err(job) = self.enqueue(&mut state, key, job) {
+            if let Err(job) = Self::enqueue(&mut state, key, job) {
                 entries.push_front((key, job));
                 break;
             }
             admitted += 1;
         }
         let waiter = (park && !entries.is_empty()).then(|| {
-            let barriers = entries
-                .iter()
-                .filter(|(key, _)| *key == SyncKey::Sequential)
-                .count();
-            if barriers != 0 {
-                self.seq_pending.0.fetch_add(barriers, Ordering::SeqCst);
-            }
             let waiter = state.overflow.park_batch(entries);
             self.overflow_len
                 .store(state.overflow.len(), Ordering::Relaxed);
@@ -356,31 +227,25 @@ impl Shared {
         (admitted, waiter)
     }
 
-    /// Blocks until the queue has nothing waiting, nothing parked, nothing in
-    /// flight, and no outstanding fast-path jobs.
+    /// Blocks until the queue has nothing waiting, nothing parked and
+    /// nothing in flight.
     fn wait_idle(&self) {
         let mut state = self.state.lock();
-        // Announced before the look at `nosync_outstanding` below, so the
-        // lock-free completion that zeroes it either sees this waiter or is
-        // seen by it (both sides SeqCst).
-        self.idle_waiters.fetch_add(1, Ordering::SeqCst);
-        while !(state.queue.is_idle()
-            && state.overflow.is_empty()
-            && self.nosync_outstanding.0.load(Ordering::SeqCst) == 0)
-        {
+        state.idle_waiters += 1;
+        while !(state.queue.is_idle() && state.overflow.is_empty()) {
             self.idle.wait_for(&mut state, PARK_BACKSTOP);
         }
-        self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
+        state.idle_waiters -= 1;
     }
 
-    /// Called with the lock held whenever the queue side may have gone idle:
+    /// Called with the lock held whenever the queue may have gone idle:
     /// wakes `wait_idle` callers, and — during shutdown — the workers parked
     /// in the drain branch of `worker_loop`, which wait on `work` for the
     /// last in-flight jobs. Both are rare, so the notifies stay under the
     /// lock.
     fn notify_if_idle(&self, state: &mut State) {
         if state.queue.is_idle() && state.overflow.is_empty() {
-            if self.idle_waiters.load(Ordering::SeqCst) != 0 {
+            if state.idle_waiters != 0 {
                 self.idle.notify_all();
             }
             if state.shutdown && state.park.claim_all() {
@@ -402,11 +267,6 @@ impl Shared {
         if wake {
             self.work.notify_all();
         }
-        // A dropped parked barrier will never complete; reopen the fast-path
-        // gate it was holding shut.
-        self.seq_pending
-            .0
-            .fetch_sub(parked.count(SyncKey::Sequential), Ordering::SeqCst);
         parked.abort();
     }
 
@@ -417,117 +277,24 @@ impl Shared {
     }
 
     /// Number of jobs waiting (not yet dispatched), including parked
-    /// submissions and fast-path jobs still in the ring. Lock-free: derived
-    /// from the monotone counters (each lower bound read before the counter
-    /// that bounds it from above, so the subtractions never underflow).
+    /// submissions. Lock-free: derived from the seqlock counters, whose
+    /// snapshot never shows `dispatched` above `enqueued`.
     fn queued(&self) -> usize {
-        let ring_popped = self.counters.ring_popped.load(Ordering::Relaxed);
-        let ring_pushed = self.counters.ring_pushed.load(Ordering::Relaxed);
         let s = self.queue_stats.snapshot();
-        (s.enqueued - s.dispatched) as usize
-            + self.overflow_len.load(Ordering::Relaxed)
-            + (ring_pushed - ring_popped) as usize
+        (s.enqueued - s.dispatched) as usize + self.overflow_len.load(Ordering::Relaxed)
     }
 
     /// Adds a snapshot of this shard's queue statistics and execution
     /// counters to `stats`. Lock-free: the queue counters come from their
-    /// seqlock cells and the ring/worker counters are relaxed atomics —
+    /// seqlock cells and the worker counters are relaxed atomics —
     /// `stats()` never contends with dispatch.
     fn add_to(&self, stats: &mut PdqExecutorStats) {
-        // Monotone read order (completed before popped before pushed) keeps
-        // the folded counters ordered even against concurrent traffic.
-        let ring_completed = self.counters.ring_completed.load(Ordering::Relaxed);
-        let ring_popped = self.counters.ring_popped.load(Ordering::Relaxed);
-        let ring_pushed = self.counters.ring_pushed.load(Ordering::Relaxed);
-        let mut queue = self.queue_stats.snapshot();
-        queue.enqueued += ring_pushed;
-        queue.dispatched += ring_popped;
-        queue.completed += ring_completed;
-        queue.nosync_handlers += ring_popped;
+        let queue = self.queue_stats.snapshot();
         stats.queue.merge(&queue);
         stats.per_shard.push(queue);
         stats.executed += self.counters.executed.load(Ordering::Relaxed);
         stats.panicked += self.counters.panicked.load(Ordering::Relaxed);
-        stats.ring_submits += ring_pushed;
-        stats.stolen += self.counters.stolen.load(Ordering::Relaxed);
         stats.spurious_wakeups += self.counters.spurious_wakeups.load(Ordering::Relaxed);
-    }
-}
-
-/// Sibling-shard view a worker uses to steal `NoSync` work when idle.
-/// Stealing is restricted to ring (fast-path) jobs: they need no
-/// synchronization, so running one on a foreign worker cannot violate
-/// per-key FIFO, exclusivity, or barrier order.
-#[derive(Clone)]
-struct StealContext {
-    /// Every shard of the owning executor, including the worker's own.
-    shards: Arc<Vec<Arc<Shared>>>,
-    /// Index of the worker's home shard in `shards`.
-    home: usize,
-}
-
-/// Executes one job taken from `home`'s ring, crediting every counter to the
-/// job's **home** shard — a thief passes the victim's `Shared` here — so
-/// per-shard statistics and idle/barrier accounting stay exact even when the
-/// job executes elsewhere.
-fn run_ring_job(home: &Shared, job: Job) {
-    home.counters.ring_popped.fetch_add(1, Ordering::Relaxed);
-    match catch_unwind(AssertUnwindSafe(job)) {
-        Ok(()) => home.counters.executed.fetch_add(1, Ordering::Relaxed),
-        Err(_) => home.counters.panicked.fetch_add(1, Ordering::Relaxed),
-    };
-    home.counters.ring_completed.fetch_add(1, Ordering::Relaxed);
-    // Two-path fence, completion side: SeqCst so a Sequential gate (or a
-    // flush / shutdown drain) that observes zero also observes everything
-    // the job wrote.
-    if home.nosync_outstanding.0.fetch_sub(1, Ordering::SeqCst) == 1
-        && (home.idle_waiters.load(Ordering::SeqCst) != 0
-            || (home.parked.0.load(Ordering::SeqCst) != 0
-                && home.shutdown_flag.load(Ordering::SeqCst)))
-    {
-        // Possibly the last outstanding fast-path job, and someone may be
-        // waiting for exactly that: a `wait_idle` caller, or (during
-        // shutdown) a worker in the drain branch. Both announce themselves
-        // before they look at `nosync_outstanding`, so finding neither here
-        // means they will find zero there. (A `Sequential` gate spins; it
-        // needs no wake-up.) Taking the lock orders the notify after the
-        // waiter's check-then-park, so it cannot fall in between.
-        home.notify_if_idle(&mut home.state.lock());
-    }
-}
-
-/// Steals and runs one ring job from a sibling shard. Returns whether a job
-/// was found. Victims are scanned starting after the thief's home shard so
-/// the load spreads instead of piling onto shard zero.
-fn steal_one(thief: &Shared, ctx: &StealContext) -> bool {
-    let n = ctx.shards.len();
-    for offset in 1..n {
-        let victim = &ctx.shards[(ctx.home + offset) % n];
-        if let Some(job) = victim.ring.pop() {
-            thief.counters.stolen.fetch_add(1, Ordering::Relaxed);
-            run_ring_job(victim, job);
-            return true;
-        }
-    }
-    false
-}
-
-/// Two-path fence, dispatch side: called by a worker holding a freshly
-/// dispatched `Sequential` entry, *before* running its body. Waits for every
-/// advertised fast-path job to finish, helping by draining the home ring —
-/// which also makes a single-worker shard self-sufficient (the gate would
-/// otherwise wait forever for a ring job only this worker could run). New
-/// fast-path submissions cannot arrive: `seq_pending` has been non-zero since
-/// the barrier was accepted.
-fn wait_fast_path_quiescent(shared: &Shared) {
-    while shared.nosync_outstanding.0.load(Ordering::SeqCst) != 0 {
-        if let Some(job) = shared.ring.pop() {
-            run_ring_job(shared, job);
-        } else {
-            // A peer (or thief) is finishing the last jobs; these are
-            // fine-grain handlers, so yield rather than park.
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -552,7 +319,6 @@ pub struct PdqBuilder {
     workers: usize,
     shards: usize,
     config: QueueConfig,
-    ring: bool,
     /// The registry name the executor reports (see `build_executor`).
     pub(super) name: &'static str,
 }
@@ -568,7 +334,6 @@ impl PdqBuilder {
             workers,
             shards: 1,
             config: QueueConfig::default(),
-            ring: true,
             name: "pdq",
         }
     }
@@ -599,21 +364,12 @@ impl PdqBuilder {
         self
     }
 
-    /// Bounds the number of waiting entries *per shard*; `submit` blocks (and
-    /// `submit_async` parks the future) when the target shard is at its
-    /// bound.
+    /// Bounds the number of waiting entries *per shard*, `NoSync` entries
+    /// included; `submit` blocks (and `submit_async` parks the future) when
+    /// the target shard is at its bound.
     #[must_use]
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.config = self.config.capacity(capacity);
-        self
-    }
-
-    /// Turns the lock-free `NoSync` ring fast path on (the default) or off.
-    /// Work stealing only operates on the rings, so turning them off also
-    /// turns stealing off.
-    #[must_use]
-    pub fn ring(mut self, enabled: bool) -> Self {
-        self.ring = enabled;
         self
     }
 
@@ -621,29 +377,20 @@ impl PdqBuilder {
     pub fn build(&self) -> PdqExecutor {
         let count = self.shards;
         let shards: Vec<Arc<Shared>> = (0..count)
-            .map(|_| Arc::new(Shared::new(self.config, self.ring)))
+            .map(|_| Arc::new(Shared::new(self.config)))
             .collect();
-        // Workers are spawned only after every shard exists so each can carry
-        // a view of all its siblings for work stealing. Stealing needs the
-        // rings; with them disabled (or a single shard) there is nothing to
-        // scan, so workers skip the steal pass entirely.
-        let steal_view = (self.ring && count > 1).then(|| Arc::new(shards.clone()));
         let (base, extra) = (self.workers / count, self.workers % count);
         let mut workers = Vec::new();
         for (i, shard) in shards.iter().enumerate() {
-            let steal = steal_view.as_ref().map(|view| StealContext {
-                shards: Arc::clone(view),
-                home: i,
-            });
             let prefix = match count {
                 1 => "pdq-worker".to_string(),
                 _ => format!("pdq-shard{i}"),
             };
             for w in 0..(base + usize::from(i < extra)).max(1) {
-                let (shard, steal) = (Arc::clone(shard), steal.clone());
+                let shard = Arc::clone(shard);
                 let worker = std::thread::Builder::new()
                     .name(format!("{prefix}-{w}"))
-                    .spawn(move || worker_loop(&shard, steal.as_ref()))
+                    .spawn(move || worker_loop(&shard))
                     .expect("failed to spawn pdq worker thread");
                 workers.push(worker);
             }
@@ -667,7 +414,8 @@ impl Default for PdqBuilder {
 /// A thread pool whose work items are synchronized *in the queue*: jobs with
 /// equal user keys never run concurrently and run in submission order, a
 /// [`SyncKey::Sequential`] job runs in isolation, and a [`SyncKey::NoSync`]
-/// job runs without any synchronization (on a lock-free fast path).
+/// job runs without any key synchronization (but never beside a
+/// `Sequential` job).
 ///
 /// Workers never block inside a job waiting for a synchronization key; a job
 /// is only handed to a worker once its key is free. This is the paper's
@@ -741,7 +489,7 @@ impl PdqExecutor {
     }
 
     /// Number of jobs currently waiting across all shards (including parked
-    /// submissions and ring fast-path jobs).
+    /// submissions).
     pub fn queued(&self) -> usize {
         self.shards.iter().map(|s| s.queued()).sum()
     }
@@ -809,11 +557,8 @@ impl Executor for PdqExecutor {
     }
 
     fn flush(&self) {
-        // Mutex-path jobs never migrate between shards, and a *stolen* ring
-        // job still counts against its home shard's outstanding-work counter
-        // until it finishes (the thief runs it against the victim's
-        // accounting). Once a shard reports idle, everything submitted to it
-        // before this call has therefore finished — wherever it ran — and one
+        // Jobs never migrate between shards: once a shard reports idle,
+        // everything submitted to it before this call has finished, so one
         // pass over the shards covers all previously submitted jobs.
         for shard in &self.shards {
             shard.wait_idle();
@@ -836,8 +581,6 @@ impl Executor for PdqExecutor {
             panicked: snap.panicked,
             queued: self.queued(),
             queue: Some(snap.queue),
-            ring_submits: snap.ring_submits,
-            stolen: snap.stolen,
             spurious_wakeups: snap.spurious_wakeups,
             ..ExecutorStats::default()
         }
@@ -850,21 +593,13 @@ impl Drop for PdqExecutor {
     }
 }
 
-fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
+fn worker_loop(shared: &Shared) {
+    let mut state = shared.state.lock();
     loop {
-        // Fast path first: the shard's own ring, no mutex.
-        if let Some(job) = shared.ring.pop() {
-            run_ring_job(shared, job);
-            continue;
-        }
-
-        // Keyed work back to back, one lock acquisition per job: a completion
-        // and the next dispatch share a critical section, so whatever the
+        // Work back to back, one lock acquisition per job: a completion and
+        // the next dispatch share a critical section, so whatever the
         // completion released (the job's key, a sequential barrier) is taken
-        // by this worker itself and needs no wake-up. The lock is given up in
-        // between only when the ring has work, so `NoSync` jobs cannot
-        // starve.
-        let mut state = shared.state.lock();
+        // by this worker itself and needs no wake-up.
         while let Some(dispatch) = state.queue.try_dispatch() {
             // The dispatch freed a waiting slot: admit parked submissions in
             // FIFO order while the queue has room. Doing it in the same
@@ -886,9 +621,6 @@ fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
             for waiter in admitted {
                 waiter.admit();
             }
-            if dispatch.key == SyncKey::Sequential {
-                wait_fast_path_quiescent(shared);
-            }
             match catch_unwind(AssertUnwindSafe(dispatch.payload)) {
                 Ok(()) => shared.counters.executed.fetch_add(1, Ordering::Relaxed),
                 Err(_) => shared.counters.panicked.fetch_add(1, Ordering::Relaxed),
@@ -898,55 +630,16 @@ fn worker_loop(shared: &Shared, steal: Option<&StealContext>) {
                 .queue
                 .complete(dispatch.ticket)
                 .expect("worker completes the ticket it dispatched");
-            if dispatch.key == SyncKey::Sequential {
-                // The barrier is done: reopen the fast-path gate.
-                shared.seq_pending.0.fetch_sub(1, Ordering::SeqCst);
-            }
             shared.notify_if_idle(&mut state);
-            if !shared.ring.is_empty() {
-                break;
-            }
         }
-        if !shared.ring.is_empty() {
-            // Off to the ring; a sleeping peer can take what is dispatchable
-            // here meanwhile.
-            let more = usize::from(state.queue.has_dispatchable());
-            shared.wake(state, more);
-            continue;
-        }
-
-        // Nothing dispatchable here: scan sibling shards' rings before
-        // parking.
-        if let Some(ctx) = steal.filter(|_| !state.shutdown) {
-            drop(state);
-            if steal_one(shared, ctx) {
-                continue;
-            }
-            state = shared.state.lock();
-            if state.queue.has_dispatchable() {
-                continue;
-            }
-        }
-
-        // Announce the park before the last look at the lock-free state (the
-        // ring, `nosync_outstanding`): a ring push or a fast-path completion
-        // that this look misses is then guaranteed to see the announcement
-        // and notify (see `try_ring_submit` and `run_ring_job`).
-        shared.parked.0.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let fast_quiet = shared.nosync_outstanding.0.load(Ordering::SeqCst) == 0;
-        let exit = state.shutdown && state.queue.in_flight() == 0 && fast_quiet;
-        // Not exiting on shutdown means peers (or thieves) are finishing the
-        // last jobs, or the ring still holds some for the loop top.
-        let notified = !exit
-            && shared.ring.is_empty()
-            && WorkerPark::wait(&shared.work, &mut state, |s| &mut s.park);
-        shared.parked.0.fetch_sub(1, Ordering::SeqCst);
-        if exit {
+        // Nothing dispatchable. During shutdown, leave once nothing is in
+        // flight either; otherwise peers are finishing the last jobs, and
+        // their completions (or `notify_if_idle`) wake this worker.
+        if state.shutdown && state.queue.in_flight() == 0 {
             return;
         }
-        if notified && !state.shutdown && !state.queue.has_dispatchable() && shared.ring.is_empty()
-        {
+        let notified = WorkerPark::wait(&shared.work, &mut state, |s| &mut s.park);
+        if notified && !state.shutdown && !state.queue.has_dispatchable() {
             shared
                 .counters
                 .spurious_wakeups
@@ -1074,9 +767,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_barrier_excludes_ring_fast_path_jobs() {
-        // NoSync jobs ride the lock-free ring; a Sequential barrier must
-        // still run alone against them (the two-path ordering fence).
+    fn sequential_barrier_excludes_nosync_jobs() {
+        // NoSync jobs skip the key check, but they are queue entries: a
+        // Sequential barrier must still run alone against them.
         let pool = PdqBuilder::new().workers(4).build();
         let running = Arc::new(AtomicUsize::new(0));
         let violation = Arc::new(AtomicBool::new(false));
@@ -1102,7 +795,7 @@ mod tests {
         pool.flush();
         assert!(
             !violation.load(Ordering::SeqCst),
-            "a ring fast-path job overlapped a sequential handler"
+            "a NoSync job overlapped a sequential handler"
         );
         let stats = pool.pdq_stats();
         assert_eq!(stats.queue.sequential_handlers, 10);
@@ -1111,49 +804,9 @@ mod tests {
     }
 
     #[test]
-    fn nosync_jobs_take_the_ring_fast_path() {
+    fn panicking_nosync_job_is_contained() {
         let pool = PdqBuilder::new().workers(2).build();
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..500u64 {
-            let counter = Arc::clone(&counter);
-            pool.submit_nosync(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.flush();
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
-        let stats = pool.pdq_stats();
-        assert_eq!(stats.executed, 500);
-        assert_eq!(stats.queue.nosync_handlers, 500);
-        assert_eq!(stats.queue.completed, 500);
-        assert!(
-            stats.ring_submits > 0,
-            "NoSync submissions should use the ring fast path"
-        );
-    }
-
-    #[test]
-    fn ring_can_be_disabled_per_builder() {
-        let pool = PdqBuilder::new().workers(2).ring(false).build();
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100u64 {
-            let counter = Arc::clone(&counter);
-            pool.submit_nosync(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.flush();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        let stats = pool.pdq_stats();
-        assert_eq!(stats.ring_submits, 0, "disabled ring must never be used");
-        assert_eq!(stats.queue.nosync_handlers, 100);
-        assert_eq!(stats.executed, 100);
-    }
-
-    #[test]
-    fn panicking_ring_job_is_contained() {
-        let pool = PdqBuilder::new().workers(2).build();
-        pool.submit_nosync(|| panic!("fast-path failure"));
+        pool.submit_nosync(|| panic!("nosync failure"));
         let ran = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&ran);
         pool.submit_nosync(move || flag.store(true, Ordering::SeqCst));
@@ -1231,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_ring_fast_path_work() {
+    fn shutdown_drains_nosync_work() {
         let counter = Arc::new(AtomicU64::new(0));
         let mut pool = PdqBuilder::new().workers(2).build();
         for _ in 0..300u64 {

@@ -7,8 +7,8 @@
 //! key always lands on the same shard, the per-key guarantees (FIFO
 //! submission order, mutual exclusion) are exactly those of one shard; only
 //! cross-key dispatch order is relaxed, which the PDQ abstraction never
-//! promised in the first place. `NoSync` jobs are spread round-robin, and
-//! idle workers steal them from sibling shards' rings.
+//! promised in the first place. `NoSync` jobs are spread round-robin and,
+//! like every other job, stay on the shard they were queued on.
 //!
 //! [`SyncKey::Sequential`] jobs cannot be handled inside one shard: they must
 //! run in isolation from *every* in-flight handler. They escalate to a global
@@ -446,54 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_ring_jobs_from_busy_shards() {
-        // Four shards, one worker each. Gate the workers of shards 1..=3
-        // inside keyed jobs, then submit NoSync work: the jobs round-robined
-        // onto the gated shards' rings can only run if shard 0's idle worker
-        // steals them.
-        let pool = PdqBuilder::new().workers(4).shards(4).build();
-        let key_for = |shard: usize| (0u64..).find(|&k| pool.shard_index(k) == shard).unwrap();
-        let release = Arc::new(AtomicBool::new(false));
-        let gates_running = Arc::new(AtomicUsize::new(0));
-        for shard in 1..4 {
-            let release = Arc::clone(&release);
-            let gates_running = Arc::clone(&gates_running);
-            pool.submit_keyed(key_for(shard), move || {
-                gates_running.fetch_add(1, Ordering::SeqCst);
-                while !release.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-            });
-        }
-        while gates_running.load(Ordering::SeqCst) < 3 {
-            std::thread::yield_now();
-        }
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..200u64 {
-            let counter = Arc::clone(&counter);
-            pool.submit_nosync(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // All 200 must complete while three of the four workers stay gated.
-        while counter.load(Ordering::Relaxed) < 200 {
-            std::thread::yield_now();
-        }
-        release.store(true, Ordering::SeqCst);
-        pool.flush();
-        let stats = pool.pdq_stats();
-        // Round-robin put 150 jobs on the gated shards; every one of them
-        // was necessarily stolen (their own workers never left the gate).
-        assert_eq!(stats.stolen, 150);
-        assert_eq!(stats.executed, 203);
-        // Stolen jobs still credit their home shard's counters.
-        for shard in &stats.per_shard {
-            assert_eq!(shard.nosync_handlers, 50);
-        }
-    }
-
-    #[test]
-    fn sequential_barrier_excludes_ring_jobs_across_shards() {
+    fn sequential_barrier_excludes_nosync_jobs_across_shards() {
         let pool = PdqBuilder::new().workers(4).shards(2).build();
         let running = Arc::new(AtomicUsize::new(0));
         let violation = Arc::new(AtomicBool::new(false));
@@ -519,7 +472,7 @@ mod tests {
         pool.flush();
         assert!(
             !violation.load(Ordering::SeqCst),
-            "a ring fast-path job overlapped a global sequential barrier"
+            "a NoSync job overlapped a global sequential barrier"
         );
         assert_eq!(pool.pdq_stats().queue.nosync_handlers, 294);
     }

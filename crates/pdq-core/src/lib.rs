@@ -75,8 +75,8 @@ mod config;
 mod error;
 mod fasthash;
 mod key;
+mod padded;
 mod queue;
-mod ring;
 mod stats;
 mod ticket;
 
@@ -86,8 +86,8 @@ pub use config::{QueueConfig, DEFAULT_SEARCH_WINDOW};
 pub use error::{QueueFullError, ShutdownError, UnknownTicketError};
 pub use fasthash::FastHasher;
 pub use key::SyncKey;
+pub use padded::CachePadded;
 pub use queue::{Dispatch, DispatchQueue};
-pub use ring::{CachePadded, MpmcRing};
 pub use stats::{QueueStats, QueueStatsCells};
 pub use ticket::Ticket;
 
@@ -103,7 +103,6 @@ mod send_sync_tests {
         assert_send_sync::<QueueConfig>();
         assert_send_sync::<QueueStats>();
         assert_send_sync::<DispatchQueue<u64>>();
-        assert_send_sync::<MpmcRing<u64>>();
         assert_send_sync::<executor::PdqExecutor>();
         assert_send_sync::<executor::SpinLockExecutor>();
         assert_send_sync::<executor::MultiQueueExecutor>();

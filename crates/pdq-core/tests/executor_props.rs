@@ -566,22 +566,18 @@ proptest! {
         }
     }
 
-    /// `NoSync` jobs ride the lock-free ring fast path (and, on the sharded
-    /// executor, may be *stolen* by a sibling shard's worker). Under a
-    /// shutdown fired at a random point in a concurrent submission stream,
-    /// every fast-path job must execute exactly once or abort observably —
-    /// never vanish, never run twice — for shard counts 1..=8 and with the
-    /// ring both on and off (the two paths must make the same promise).
+    /// Under a shutdown fired at a random point in a concurrent stream of
+    /// `NoSync` submissions, every job must execute exactly once or abort
+    /// observably — never vanish, never run twice — for shard counts 1..=8.
     #[test]
     fn shutdown_racing_nosync_fast_path_never_loses_jobs(
         shards in 1usize..9,
         workers in 1usize..5,
         jobs in 20usize..120,
         cut_pct in 0u32..=100,
-        ring in any::<bool>(),
     ) {
         for name in ["pdq", "sharded-pdq"] {
-            let mut spec = ExecutorSpec::new(workers).ring(ring);
+            let mut spec = ExecutorSpec::new(workers);
             if name == "sharded-pdq" {
                 spec = spec.shards(shards);
             }
@@ -636,33 +632,29 @@ proptest! {
 
             prop_assert!(
                 !double_run.load(Ordering::SeqCst),
-                "{name}: a fast-path job executed twice across the shutdown race"
+                "{name}: a NoSync job executed twice across the shutdown race"
             );
             let executed = slots.iter().filter(|s| s.load(Ordering::SeqCst) == 1).count();
             let aborted = slots.iter().filter(|s| s.load(Ordering::SeqCst) == 2).count();
             let lost = slots.iter().filter(|s| s.load(Ordering::SeqCst) == 0).count();
             prop_assert_eq!(
                 lost, 0,
-                "{}: {} NoSync jobs vanished silently (executed {}, aborted {}, ring {})",
-                name, lost, executed, aborted, ring
+                "{}: {} NoSync jobs vanished silently (executed {}, aborted {})",
+                name, lost, executed, aborted
             );
             prop_assert_eq!(
                 executed + aborted, jobs,
-                "{}: fates must cover the stream exactly (ring {})", name, ring
+                "{}: fates must cover the stream exactly", name
             );
             let stats = pool.read().unwrap().stats();
             prop_assert_eq!(
                 stats.executed as usize, executed,
                 "{}: executed counter diverged from observed executions", name
             );
-            if !ring {
-                prop_assert_eq!(stats.ring_submits, 0, "{name}: ring off but used");
-            }
         }
     }
 
-    /// A storm of `NoSync` jobs on the ring fast path (with stealing, on the
-    /// sharded executor) must not weaken the keyed contract: same-key jobs
+    /// A storm of `NoSync` jobs must not weaken the keyed contract: same-key jobs
     /// still run exclusively and in submission order, `Sequential` entries
     /// still run, and every job of both kinds executes — on all four registry
     /// executors, shard counts 1..=8.
@@ -729,18 +721,17 @@ proptest! {
     }
 
     /// The lock-free `stats()` snapshot must be *exact* once the executor is
-    /// idle: after `flush`, the folded seqlock/ring counters equal the true
-    /// post-hoc counts (no torn or dropped increments), and mid-run snapshots
-    /// never violate the monotone counter ordering — for both PDQ executors,
-    /// shard counts 1..=8, ring on and off.
+    /// idle: after `flush`, the seqlock counters equal the true post-hoc
+    /// counts (no torn or dropped increments), and mid-run snapshots never
+    /// violate the monotone counter ordering — for both PDQ executors, shard
+    /// counts 1..=8.
     #[test]
     fn stats_snapshots_are_exact_after_flush(
         shards in 1usize..9,
         jobs in proptest::collection::vec((any::<u8>(), 0u8..3), 1..150),
-        ring in any::<bool>(),
     ) {
         for name in ["pdq", "sharded-pdq"] {
-            let mut spec = ExecutorSpec::new(3).ring(ring);
+            let mut spec = ExecutorSpec::new(3);
             if name == "sharded-pdq" {
                 spec = spec.shards(shards);
             }
@@ -784,10 +775,6 @@ proptest! {
             prop_assert_eq!(q.completed, total, "{}: completed drifted", name);
             prop_assert_eq!(q.nosync_handlers, nosyncs, "{}: nosync count drifted", name);
             prop_assert_eq!(s.queued, 0, "{}: queued must be zero when idle", name);
-            if !ring {
-                prop_assert_eq!(s.ring_submits, 0, "{name}: ring off but used");
-                prop_assert_eq!(s.stolen, 0, "{name}: stealing needs the ring");
-            }
         }
     }
 }

@@ -145,8 +145,6 @@ impl Observability {
         set("pdq_executor_queued", stats.queued as u64);
         set("pdq_executor_spin_iterations", stats.spin_iterations);
         set("pdq_executor_spurious_wakeups", stats.spurious_wakeups);
-        set("pdq_executor_ring_submits", stats.ring_submits);
-        set("pdq_executor_stolen", stats.stolen);
         if let Some(queue) = &stats.queue {
             set("pdq_queue_enqueued", queue.enqueued);
             set("pdq_queue_rejected_full", queue.rejected_full);
@@ -454,16 +452,13 @@ mod tests {
             }),
             spin_iterations: 0,
             spurious_wakeups: 2,
-            ring_submits: 5,
-            stolen: 4,
+            ..ExecutorStats::default()
         };
         obs.set_executor_stats(&stats);
         obs.set_tier("poll");
         let text = obs.render();
         assert!(text.contains("pdq_executor_executed 10"));
         assert!(text.contains("pdq_executor_queued 3"));
-        assert!(text.contains("pdq_executor_ring_submits 5"));
-        assert!(text.contains("pdq_executor_stolen 4"));
         assert!(text.contains("pdq_queue_enqueued 11"));
         assert!(text.contains("pdq_queue_max_queue_len 7"));
         assert!(text.contains("pdq_server{tier=\"poll\"} 1"));

@@ -35,13 +35,12 @@ fn tcp_client(
 /// the merged aggregate (driver-side fetch after every connection drains).
 fn merged_run(
     name: &str,
-    ring: bool,
     base: &ServerConfig,
     clients: u64,
     poll: bool,
 ) -> pdq_workloads::ServerAggregate {
-    let executor = build_executor(name, &ExecutorSpec::new(2).capacity(64).ring(ring))
-        .expect("registry executor");
+    let executor =
+        build_executor(name, &ExecutorSpec::new(2).capacity(64)).expect("registry executor");
     let service = ExecutorService::new(executor.as_ref(), base.blocks);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
@@ -73,7 +72,7 @@ fn merged_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// N concurrent clients x all four registry executors x ring on/off:
+    /// N concurrent clients x all four registry executors:
     /// the merged aggregate is byte-identical to the sequential
     /// `reference_aggregate` fold of the concatenated client streams —
     /// whatever the interleaving the kernel and scheduler pick.
@@ -82,16 +81,15 @@ proptest! {
         clients in 2u64..=4,
         events in 60usize..=160,
         seed in 0u64..1000,
-        ring in any::<bool>(),
     ) {
         let base = ServerConfig::quick().events(events).seed(seed);
         let reference = merged_reference_aggregate(&base, clients);
         for name in EXECUTOR_NAMES {
-            let pool = merged_run(name, ring, &base, clients, false);
-            prop_assert_eq!(pool, reference, "pool tier diverged on {} (ring={})", name, ring);
+            let pool = merged_run(name, &base, clients, false);
+            prop_assert_eq!(pool, reference, "pool tier diverged on {}", name);
         }
-        let poll = merged_run("sharded-pdq", ring, &base, clients, true);
-        prop_assert_eq!(poll, reference, "poll tier diverged (ring={})", ring);
+        let poll = merged_run("sharded-pdq", &base, clients, true);
+        prop_assert_eq!(poll, reference, "poll tier diverged");
     }
 
     /// The resumable decoder reassembles any frame sequence delivered in
